@@ -28,8 +28,7 @@ from .graphs import (
     save_graph,
 )
 from .orders import (
-    DismantlingOrder,
-    DominatingOrder,
+    Order,
     depth_table,
     find_dismantling_order,
     find_dominating_order,

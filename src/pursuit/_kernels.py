@@ -1,48 +1,18 @@
 """Hot numeric kernels: game-distance tables and survival DP layers.
 
-Two interchangeable backends compute identical results:
-
-* ``numpy`` -- vectorised boolean/integer array sweeps (the default when
-  numba is not installed);
-* ``numba`` -- the plain-Python loop kernels ``_tables_loops`` and
-  ``_survive_loops`` below, compiled with ``@njit`` (the default when the
-  optional ``numba`` extra is installed).
-
-Select explicitly with ``PURSUIT_BACKEND=numba`` or
-``PURSUIT_BACKEND=numpy``; asking for numba where it is not installed
-raises ``RuntimeError``. ``tests/test_kernels.py`` checks the numpy
-kernels against the uncompiled loop kernels everywhere, and against the
-compiled ones where numba imports. See ``benchmarks/bench_kernels.py`` for
-a side-by-side timing comparison.
+Both are vectorised numpy sweeps. ``tests/test_kernels.py`` keeps
+plain-Python loop versions of the two kernels as reference oracles and
+checks that these give identical tables and survival layers.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-
-
-def _require_numba(caller: str) -> None:
-    if numba is None:
-        raise RuntimeError(f"{caller} but numba is not installed")
 
 
 def backend() -> str:
-    choice = os.environ.get("PURSUIT_BACKEND", "").strip().lower()
-    if choice == "numba":
-        _require_numba("PURSUIT_BACKEND=numba")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    if choice:
-        raise RuntimeError(f"unknown PURSUIT_BACKEND value {choice!r}")
-    return "numba" if numba is not None else "numpy"
+    """Name of the kernel backend: numpy is the only one, named for run stamps."""
+    return "numpy"
 
 
 def _inf_for(n: int) -> int:
@@ -55,53 +25,6 @@ def _inf_for(n: int) -> int:
 # graph given by its closed adjacency matrix. Distances count remaining
 # moves (plies) until capture under optimal play; INF marks states the cop
 # cannot force.
-
-
-def _tables_loops(adj):
-    n = adj.shape[0]
-    inf = 4 * n * n + 16
-    dc = np.full((n, n), inf, dtype=np.int32)
-    dr = np.full((n, n), inf, dtype=np.int32)
-    changed = True
-    while changed:
-        changed = False
-        for c in range(n):
-            for r in range(n):
-                if c == r:
-                    continue
-                best = inf
-                for cp in range(n):
-                    if adj[c, cp]:
-                        val = 0 if cp == r else dr[cp, r]
-                        if val < best:
-                            best = val
-                if best < inf and best + 1 < dc[c, r]:
-                    dc[c, r] = best + 1
-                    changed = True
-                worst = 0
-                for rp in range(n):
-                    if adj[r, rp]:
-                        val = 0 if rp == c else dc[c, rp]
-                        if val > worst:
-                            worst = val
-                if worst < inf and worst + 1 < dr[c, r]:
-                    dr[c, r] = worst + 1
-                    changed = True
-    for v in range(n):
-        dc[v, v] = 0
-        dr[v, v] = 0
-    return dc, dr
-
-
-_tables_jit = None
-
-
-def _tables_numba(adj):
-    global _tables_jit
-    if _tables_jit is None:
-        _require_numba("_tables_numba compiles with numba")
-        _tables_jit = numba.njit(cache=True)(_tables_loops)
-    return _tables_jit(adj)
 
 
 def _tables_numpy(adj):
@@ -134,14 +57,8 @@ def game_distance_tables(adj: np.ndarray):
     """Ply-distance tables (cop to move, robber to move); -1 = no forced
     capture from that state."""
     adj = np.ascontiguousarray(adj, dtype=np.bool_)
-    n = adj.shape[0]
-    if backend() == "numba":
-        dc, dr = _tables_numba(adj)
-    else:
-        dc, dr = _tables_numpy(adj)
-    inf = _inf_for(n)
-    dc = dc.astype(np.int32)
-    dr = dr.astype(np.int32)
+    dc, dr = _tables_numpy(adj)
+    inf = _inf_for(adj.shape[0])
     dc[dc >= inf] = -1
     dr[dr >= inf] = -1
     return dc, dr
@@ -153,51 +70,6 @@ def game_distance_tables(adj: np.ndarray):
 # about to be played (robber on odd t, cop on even t), can the robber
 # avoid capture through round `horizon` against every cop behaviour,
 # moving only inside `allowed`? Layer horizon+1 is all-True (survived).
-
-
-def _survive_loops(adj, allowed, cop_allowed, horizon):
-    n = adj.shape[0]
-    layers = np.zeros((horizon + 2, n, n), dtype=np.bool_)
-    for c in range(n):
-        for r in range(n):
-            layers[horizon + 1, c, r] = True
-    for t in range(horizon, 1, -1):
-        if t % 2 == 1:
-            for c in range(n):
-                for r in range(n):
-                    if c == r:
-                        continue
-                    ok = False
-                    for rp in range(n):
-                        if adj[r, rp] and allowed[rp] and rp != c and layers[t + 1, c, rp]:
-                            ok = True
-                            break
-                    layers[t, c, r] = ok
-        else:
-            for c in range(n):
-                for r in range(n):
-                    if c == r:
-                        continue
-                    ok = True
-                    for cp in range(n):
-                        if adj[c, cp] and cop_allowed[cp] and (
-                            cp == r or not layers[t + 1, cp, r]
-                        ):
-                            ok = False
-                            break
-                    layers[t, c, r] = ok
-    return layers
-
-
-_survive_jit = None
-
-
-def _survive_numba(adj, allowed, cop_allowed, horizon):
-    global _survive_jit
-    if _survive_jit is None:
-        _require_numba("_survive_numba compiles with numba")
-        _survive_jit = numba.njit(cache=True)(_survive_loops)
-    return _survive_jit(adj, allowed, cop_allowed, horizon)
 
 
 def _survive_numpy(adj, allowed, cop_allowed, horizon):
@@ -230,6 +102,4 @@ def survive_layers(
     cop_allowed = np.ascontiguousarray(cop_allowed, dtype=np.bool_)
     if horizon < 2:
         raise ValueError("survival DP needs horizon >= 2")
-    if backend() == "numba":
-        return _survive_numba(adj, allowed, cop_allowed, horizon)
     return _survive_numpy(adj, allowed, cop_allowed, horizon)

@@ -25,8 +25,6 @@ from .engine import (
 from .errors import GraphFormatError, PursuitError
 from .graphs import Graph, load_graph, save_graph
 from .orders import (
-    DismantlingOrder,
-    DominatingOrder,
     depth_table,
     find_dismantling_order,
     find_dominating_order,
@@ -63,7 +61,7 @@ def _build_cop(kind: str, graph: Graph, order):
         if order is None:
             raise PursuitError(f"--cop {kind} needs an order, and the graph is not constructible")
     if kind == "recursive":
-        if not isinstance(order, DominatingOrder):
+        if order.flavor != "constructing":
             raise PursuitError("--cop recursive needs a dominating order")
         return PrefixRecursiveCop(order)
     family = RetractionFamily(graph, order)
@@ -150,13 +148,9 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _load_any_order(path):
-    return load_order(path)
-
-
 def _cmd_simulate(args) -> int:
     graph = load_graph(args.graph)
-    order = _load_any_order(args.order) if args.order else None
+    order = load_order(args.order) if args.order else None
     cop = _build_cop(args.cop, graph, order)
     robber = _build_robber(args.robber, graph)
     cfg = GameConfig(graph, cop, robber, max_rounds=args.horizon)
@@ -177,8 +171,8 @@ def _cmd_verify(args) -> int:
     failures = []
 
     if args.order:
-        order = _load_any_order(args.order)
-        if isinstance(order, DismantlingOrder):
+        order = load_order(args.order)
+        if order.flavor == "dismantling":
             res = verify_dismantling_order(graph, order)
         else:
             res = verify_dominating_order(graph, order)
@@ -207,6 +201,7 @@ def _cmd_verify(args) -> int:
 
     if args.transcript:
         transcript = load_transcript(args.transcript)
+        _check_transcript_vertices(transcript, graph)
         # the stage/exponent invariants are chain-pursuit properties
         chain = transcript.stages and transcript.cop_kind == "chain"
         inv = check_pursuit_invariants(transcript) if chain else None
@@ -234,11 +229,24 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def _check_transcript_vertices(transcript, graph) -> None:
+    n = graph.order
+    for t, player, v in transcript.moves:
+        if not (isinstance(v, int) and 0 <= v < n):
+            raise GraphFormatError(
+                f"transcript round {t}: {player} at vertex {v!r}, not in the {n}-vertex graph"
+            )
+    if len(transcript.visit_counts) != n:
+        raise GraphFormatError(
+            f"transcript has {len(transcript.visit_counts)} visit counts for a {n}-vertex graph"
+        )
+
+
 def _resolve_bound(args, graph):
     if args.bound == "default":
         if not args.order:
             raise PursuitError("--bound default needs --order to derive depths")
-        order = _load_any_order(args.order)
+        order = load_order(args.order)
         depths = depth_table(order, strict=False)
         return [(d if d is not None else graph.order) + 1 for d in depths]
     try:
@@ -258,7 +266,7 @@ def _resolve_bound(args, graph):
 
 def _cmd_timing(args) -> int:
     graph = load_graph(args.graph)
-    order = _load_any_order(args.order) if args.order else None
+    order = load_order(args.order) if args.order else None
     cop = _build_cop(args.cop, graph, order)
     horizon = args.horizon or 4 * graph.order
     profile = estimate_timing(graph, cop, horizon)
@@ -269,59 +277,70 @@ def _cmd_timing(args) -> int:
     return 0
 
 
+class _Quit(Exception):
+    """The interactive robber asked to leave the game."""
+
+
+class _InteractiveRobber:
+    """Robber policy that shows the cop's moves and reads the robber's
+    moves through ``input_fn``/``output_fn``; ``q`` or ``quit`` leaves."""
+
+    def __init__(self, input_fn, output_fn):
+        self.input_fn = input_fn
+        self.output_fn = output_fn
+        self.round = 1
+
+    def _read(self, prompt: str) -> str:
+        raw = self.input_fn(prompt).strip()
+        if raw in ("q", "quit"):
+            raise _Quit
+        return raw
+
+    def start(self, G: Graph, c: int) -> int:
+        self.output_fn(f"cop starts at {c} ({G.label(c)})")
+        while True:
+            raw = self._read("robber start> ")
+            try:
+                r = int(raw)
+                G._check(r)
+                return r
+            except ValueError:
+                self.output_fn("not a vertex; pick an id from the graph")
+
+    def move(self, G: Graph, c: int, r: int) -> int:
+        self.output_fn(f"round {self.round + 1}: cop -> {c} ({G.label(c)})")
+        self.round += 2
+        legal = sorted(G.neighbors(r))
+        while True:
+            raw = self._read(f"round {self.round}, robber at {r}, moves {legal}> ")
+            try:
+                cand = int(raw)
+            except ValueError:
+                self.output_fn("enter a vertex id")
+                continue
+            if cand in legal:
+                return cand
+            self.output_fn(f"illegal move {r} -> {cand}")
+
+
 def _cmd_play(args, input_fn=input, output_fn=print) -> int:
     graph = load_graph(args.graph)
-    order = _load_any_order(args.order) if args.order else None
+    order = load_order(args.order) if args.order else None
     cop = _build_cop(args.cop, graph, order)
-    horizon = args.horizon or 200
-
-    c = cop.start(graph)
-    output_fn(f"cop starts at {c} ({graph.label(c)})")
-    r = None
-    while r is None:
-        raw = input_fn("robber start> ").strip()
-        if raw in ("q", "quit"):
-            return 0
-        try:
-            cand = int(raw)
-            graph._check(cand)
-            r = cand
-        except ValueError:
-            output_fn("not a vertex; pick an id from the graph")
-    if r == c:
-        output_fn("captured at round 1")
+    robber = _InteractiveRobber(input_fn, output_fn)
+    try:
+        transcript = play(GameConfig(graph, cop, robber, max_rounds=args.horizon or 200))
+    except _Quit:
         return 0
-
-    t = 2
-    while t <= horizon:
-        if t % 2 == 0:
-            c = cop.move(graph, c, r, t)
-            output_fn(f"round {t}: cop -> {c} ({graph.label(c)})")
-            if c == r:
-                output_fn(f"captured at round {t}")
-                return 0
-        else:
-            legal = sorted(graph.neighbors(r))
-            move = None
-            while move is None:
-                raw = input_fn(f"round {t}, robber at {r}, moves {legal}> ").strip()
-                if raw in ("q", "quit"):
-                    return 0
-                try:
-                    cand = int(raw)
-                except ValueError:
-                    output_fn("enter a vertex id")
-                    continue
-                if cand not in legal:
-                    output_fn(f"illegal move {r} -> {cand}")
-                    continue
-                move = cand
-            r = move
-            if r == c:
-                output_fn(f"captured at round {t}")
-                return 0
-        t += 1
-    output_fn("horizon reached; robber survives")
+    out = transcript.outcome
+    if out.kind == "fault":
+        raise PursuitError(out.detail)
+    # the robber shows each cop move when asked to reply; no reply follows the last
+    t, player, v = transcript.moves[-1]
+    if player == "cop":
+        output_fn(f"round {t}: cop -> {v} ({graph.label(v)})")
+    output_fn(f"captured at round {out.round}" if transcript.captured
+              else "horizon reached; robber survives")
     return 0
 
 

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 
 from .graphs import Graph, LazyGraph
-from .orders import DismantlingOrder, DominatingOrder
+from .orders import Order
 
 # -- plain finite families ---------------------------------------------------
 
@@ -86,7 +86,7 @@ def double_wheel():
     G = Graph(11, edges, labels=_BLOCK_LABELS)
     sequence = tuple(index[lab] for lab in _BLOCK_ORDER_LABELS)
     dominator = {index[v]: index[d] for v, d in _BLOCK_DOMINATOR_LABELS.items()}
-    return G, DominatingOrder(sequence, dominator)
+    return G, Order(sequence, dominator, "constructing")
 
 
 def _tree_node_index(node: str) -> int:
@@ -185,7 +185,7 @@ class HubbedPath:
     """
 
     graph: Graph
-    dismantling: DismantlingOrder
+    dismantling: Order
     retraction: dict
     cycle: tuple
 
@@ -204,7 +204,7 @@ def hubbed_path(n: int) -> HubbedPath:
     dominator = {i: i + 1 for i in range(n)}  # a_n's dominator is truncated away
     dominator[b0] = b1
     dominator[b1] = b2
-    order = DismantlingOrder(sequence, dominator)
+    order = Order(sequence, dominator, "dismantling")
     retraction = {v: (0 if v <= n else v) for v in range(n + 4)}
     return HubbedPath(G, order, retraction, (0, b0, b1, b2))
 
@@ -218,7 +218,7 @@ class TreeBall:
     vertices (distance < radius) marked and the BFS dominating order."""
 
     graph: Graph
-    order: DominatingOrder
+    order: Order
     interior: frozenset
 
 
@@ -243,7 +243,7 @@ def leafless_tree_ball(degree: int, radius: int) -> TreeBall:
         frontier = newer
     G = Graph(nxt, edges)
     dominator = {v: p for v, p in parent.items() if p is not None}
-    order = DominatingOrder(tuple(range(nxt)), dominator)
+    order = Order(tuple(range(nxt)), dominator, "constructing")
     interior = frozenset(v for v in range(nxt) if depth[v] < radius)
     return TreeBall(G, order, interior)
 
@@ -272,7 +272,7 @@ def random_constructible(n: int, seed: int):
             adj[w].add(v)
             edges.append((w, v))
         dominator[v] = u
-    return Graph(n, edges), DominatingOrder(tuple(range(n)), dominator)
+    return Graph(n, edges), Order(tuple(range(n)), dominator, "constructing")
 
 
 def random_connected_graph(n: int, seed: int) -> Graph:
@@ -297,8 +297,8 @@ def random_connected_graph(n: int, seed: int) -> Graph:
 @dataclass(frozen=True)
 class Generated:
     graph: Graph
-    dominating: DominatingOrder | None = None
-    dismantling: DismantlingOrder | None = None
+    dominating: Order | None = None
+    dismantling: Order | None = None
 
 
 def make(family: str, *, n: int | None = None, degree: int | None = None,

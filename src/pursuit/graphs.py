@@ -197,6 +197,8 @@ class Graph:
                     n = int(line)
                 except ValueError:
                     raise GraphFormatError(f"line {lineno}: expected vertex count")
+                if n < 1:
+                    raise GraphFormatError(f"line {lineno}: vertex count {n} is below 1")
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -348,15 +350,15 @@ class BallView:
     dismantling_dominator_hint: dict
 
     def dominating_order(self):
-        from .orders import DominatingOrder
+        from .orders import Order
 
-        return DominatingOrder(tuple(range(self.graph.order)), dict(self.dominator_hint))
+        return Order(tuple(range(self.graph.order)), dict(self.dominator_hint), "constructing")
 
     def dismantling_order(self):
-        from .orders import DismantlingOrder
+        from .orders import Order
 
-        return DismantlingOrder(
-            tuple(range(self.graph.order)), dict(self.dismantling_dominator_hint)
+        return Order(
+            tuple(range(self.graph.order)), dict(self.dismantling_dominator_hint), "dismantling"
         )
 
 

@@ -1,9 +1,11 @@
 """Dominating and dismantling orders: construction, verification, depth.
 
 A dominating order builds the graph one dominated vertex at a time; a
-dismantling order tears it down the same way. Each order carries a
-dominator map: the witness vertex that dominates each entry inside the
-relevant prefix (dominating flavour) or suffix (dismantling flavour).
+dismantling order tears it down the same way. Both are one type,
+:class:`Order`, told apart by its ``flavor``: ``"constructing"`` or
+``"dismantling"``. Each order carries a dominator map: the witness vertex
+that dominates each entry inside the relevant prefix (constructing
+flavour) or suffix (dismantling flavour).
 """
 
 from __future__ import annotations
@@ -15,14 +17,24 @@ from .graphs import Graph, GraphFormatError
 
 
 @dataclass(frozen=True)
-class DominatingOrder:
-    """Vertex permutation plus dominator map; rank 0 has no dominator."""
+class Order:
+    """Vertex permutation plus dominator map, in one of two flavours.
+
+    A ``"constructing"`` (dominating) order's first vertex has no
+    dominator; a ``"dismantling"`` order's last vertex has none. Truncations
+    of infinite instances may leave further chain sinks without a
+    dominator; verification reports those. Orders of different flavours
+    never compare equal.
+    """
 
     sequence: tuple[int, ...]
     dominator: dict[int, int]
+    flavor: str
     _rank: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.flavor not in ("constructing", "dismantling"):
+            raise ValueError(f"unknown flavor {self.flavor!r}")
         object.__setattr__(self, "sequence", tuple(self.sequence))
         object.__setattr__(self, "_rank", {v: i for i, v in enumerate(self.sequence)})
 
@@ -32,43 +44,8 @@ class DominatingOrder:
     def __len__(self) -> int:
         return len(self.sequence)
 
-    @property
-    def flavor(self) -> str:
-        return "constructing"
-
     def terminal(self) -> int:
-        return self.sequence[0]
-
-
-@dataclass(frozen=True)
-class DismantlingOrder:
-    """Vertex permutation plus dominator map; the last vertex has no
-    dominator. Truncations of infinite instances may leave further chain
-    sinks without a dominator; verification reports those."""
-
-    sequence: tuple[int, ...]
-    dominator: dict[int, int]
-    _rank: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sequence", tuple(self.sequence))
-        object.__setattr__(self, "_rank", {v: i for i, v in enumerate(self.sequence)})
-
-    def rank_of(self, v: int) -> int:
-        return self._rank[v]
-
-    def __len__(self) -> int:
-        return len(self.sequence)
-
-    @property
-    def flavor(self) -> str:
-        return "dismantling"
-
-    def terminal(self) -> int:
-        return self.sequence[-1]
-
-
-AnyOrder = DominatingOrder | DismantlingOrder
+        return self.sequence[0 if self.flavor == "constructing" else -1]
 
 
 def _check_permutation(G: Graph, sequence) -> None:
@@ -108,7 +85,7 @@ def _greedy_peel(G: Graph):
     return removed, dominator_of, alive.pop()
 
 
-def find_dominating_order(G: Graph) -> DominatingOrder | None:
+def find_dominating_order(G: Graph) -> Order | None:
     """Greedy peel-and-reverse; absent iff the graph is not constructible."""
     if not G.is_connected():
         raise ValueError("graph must be connected")
@@ -117,10 +94,10 @@ def find_dominating_order(G: Graph) -> DominatingOrder | None:
         return None
     removed, dominator_of, survivor = peeled
     sequence = (survivor, *reversed(removed))
-    return DominatingOrder(sequence, dominator_of)
+    return Order(sequence, dominator_of, "constructing")
 
 
-def find_dismantling_order(G: Graph) -> DismantlingOrder | None:
+def find_dismantling_order(G: Graph) -> Order | None:
     """Greedy removal sequence, first removed vertex at rank 0."""
     if not G.is_connected():
         raise ValueError("graph must be connected")
@@ -128,7 +105,7 @@ def find_dismantling_order(G: Graph) -> DismantlingOrder | None:
     if peeled is None:
         return None
     removed, dominator_of, survivor = peeled
-    return DismantlingOrder((*removed, survivor), dominator_of)
+    return Order((*removed, survivor), dominator_of, "dismantling")
 
 
 def _dominates_within(G: Graph, region: set, u: int, v: int) -> bool:
@@ -139,7 +116,7 @@ def _dominates_within(G: Graph, region: set, u: int, v: int) -> bool:
 
 
 def _verify(G: Graph, order, suffix: bool, collect: bool):
-    if isinstance(order, (DominatingOrder, DismantlingOrder)):
+    if isinstance(order, Order):
         sequence = order.sequence
         dom = order.dominator
     else:
@@ -192,7 +169,7 @@ def verify_dismantling_order(G: Graph, order, collect: bool = False) -> CheckRes
     return _verify(G, order, suffix=True, collect=collect)
 
 
-def depth_table(order: AnyOrder, strict: bool = True) -> tuple:
+def depth_table(order: Order, strict: bool = True) -> tuple:
     """Chain length from each vertex to the order's terminal vertex.
 
     Vertex-indexed. With ``strict=False`` stuck chains yield ``None``
@@ -226,7 +203,7 @@ def depth_table(order: AnyOrder, strict: bool = True) -> tuple:
     return tuple(depth[v] for v in range(len(order.sequence)))
 
 
-def naturalize_order(G: Graph, order: DominatingOrder):
+def naturalize_order(G: Graph, order: Order):
     """Re-sort a dominating order by levels so ties in level keep the
     original rank; the same dominator map stays valid.
 
@@ -247,7 +224,7 @@ def naturalize_order(G: Graph, order: DominatingOrder):
         level[v] = max(level[u] for u in earlier) + 1
     new_seq = tuple(sorted(sequence, key=lambda v: (level[v], rank[v])))
     return (
-        DominatingOrder(new_seq, dict(order.dominator)),
+        Order(new_seq, dict(order.dominator), "constructing"),
         tuple(level[v] for v in range(G.order)),
     )
 
@@ -257,49 +234,56 @@ def naturalize_order(G: Graph, order: DominatingOrder):
 # line 2: `delta v:d ...`   (omitted pairs mean "no dominator recorded")
 
 
-def order_to_text(order: AnyOrder) -> str:
+def order_to_text(order: Order) -> str:
     head = "order " + " ".join(str(v) for v in order.sequence)
     pairs = " ".join(f"{v}:{d}" for v, d in sorted(order.dominator.items()))
     return f"{head}\ndelta {pairs}".rstrip() + "\n"
 
 
-def order_from_text(text: str, flavor: str = "auto") -> AnyOrder:
+def order_from_text(text: str, flavor: str = "auto") -> Order:
+    """Parse :func:`order_to_text` output. Every dominator entry must name
+    vertices of the sequence; ``flavor="auto"`` reads the flavour off the
+    direction of the dominator map."""
     sequence = None
     dominator = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "order":
-            sequence = tuple(int(x) for x in parts[1:])
-        elif parts[0] == "delta":
-            for pair in parts[1:]:
-                v, d = pair.split(":")
-                dominator[int(v)] = int(d)
-        else:
+        if parts[0] not in ("order", "delta"):
             raise GraphFormatError(f"unexpected line in order file: {line!r}")
+        try:
+            if parts[0] == "order":
+                sequence = tuple(int(x) for x in parts[1:])
+            else:
+                for pair in parts[1:]:
+                    v, d = pair.split(":")
+                    dominator[int(v)] = int(d)
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: expected integers and 'v:d' pairs")
     if sequence is None:
         raise GraphFormatError("order file is missing its 'order' line")
+    rank = {v: i for i, v in enumerate(sequence)}
+    for v, d in sorted(dominator.items()):
+        if v not in rank or d not in rank:
+            raise GraphFormatError(f"dominator pair {v}:{d} names a vertex outside the order")
     if flavor == "auto":
-        rank = {v: i for i, v in enumerate(sequence)}
         ups = sum(1 for v, d in dominator.items() if rank[d] > rank[v])
         downs = len(dominator) - ups
         if ups and downs:
             raise GraphFormatError("mixed dominator directions; pass an explicit flavor")
         flavor = "dismantling" if ups else "constructing"
-    if flavor in ("constructing", "dominating"):
-        return DominatingOrder(sequence, dominator)
-    if flavor == "dismantling":
-        return DismantlingOrder(sequence, dominator)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    elif flavor == "dominating":
+        flavor = "constructing"
+    return Order(sequence, dominator, flavor)
 
 
-def load_order(path, flavor: str = "auto") -> AnyOrder:
+def load_order(path, flavor: str = "auto") -> Order:
     with open(path, "r", encoding="utf-8") as fh:
         return order_from_text(fh.read(), flavor=flavor)
 
 
-def save_order(path, order: AnyOrder) -> None:
+def save_order(path, order: Order) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(order_to_text(order))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import CheckResult, InvalidOrderError, NontotalRetractionError
 from .graphs import Graph
-from .orders import AnyOrder
+from .orders import Order
 
 
 class RetractionFamily:
@@ -22,7 +22,7 @@ class RetractionFamily:
     dismantling flavour.
     """
 
-    def __init__(self, graph: Graph, order: AnyOrder):
+    def __init__(self, graph: Graph, order: Order):
         if sorted(order.sequence) != list(range(graph.order)):
             raise InvalidOrderError("order does not cover the graph's vertex set")
         self.graph = graph

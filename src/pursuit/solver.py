@@ -11,7 +11,7 @@ import numpy as np
 from . import _kernels
 from .errors import ProtectiveContradictionError
 from .graphs import Graph
-from .orders import DominatingOrder, verify_dominating_order
+from .orders import Order, verify_dominating_order
 
 _INF = float("inf")
 
@@ -333,90 +333,63 @@ def estimate_timing(
 ) -> TimingProfile:
     """Exact forward reachability of (cop, robber) states against the
     fixed strategy ``cop``, branching over all robber behaviours."""
+    rob_latest, cop_earliest, truncated, _ = _reach(G, cop, horizon, budget)
+    worst = None
+    if worst_arrival:
+        worst = tuple(_reach(G, cop, horizon, target=v)[3] for v in range(G.order))
+    return TimingProfile(rob_latest, cop_earliest, horizon, truncated, worst)
+
+
+def _reach(G: Graph, cop, horizon: int, budget: int | None = None, target=None):
+    """Walk the layers of uncaptured (cop, robber) states, one per round
+    up to ``horizon``, calling ``cop.move`` once per state and cop round.
+
+    Returns ``(rob_latest, cop_earliest, truncated, arrival)``: the first
+    two as in :class:`TimingProfile`; ``truncated`` when a layer outgrew
+    ``budget`` and stopped the walk; ``arrival`` the cop's latest first
+    arrival at ``target`` over robber behaviours (a play ends on arrival),
+    or -1 if some play avoids ``target`` within the horizon.
+    """
     n = G.order
     rob_latest = [-1] * n
     cop_earliest = [-1] * n
-
-    def see_cop(v, t):
-        if cop_earliest[v] < 0:
-            cop_earliest[v] = t
-
     c0 = cop.start(G)
-    see_cop(c0, 0)
+    cop_earliest[c0] = 0
+    if c0 == target:
+        return tuple(rob_latest), tuple(cop_earliest), False, 0
     layer = {(c0, r0) for r0 in range(n) if r0 != c0}
     truncated = False
+    arrival = -1
     t = 1
     while t <= horizon and layer:
         if budget is not None and len(layer) > budget:
             truncated = True
             break
-        if t % 2 == 1:
-            for c, r in layer:
-                if t + 1 <= horizon and cop.move(G, c, r, t + 1) != r:
-                    rob_latest[r] = max(rob_latest[r], t)
-        else:
-            for c, r in layer:
-                if t + 1 <= horizon:
-                    rob_latest[r] = max(rob_latest[r], t)
-        nxt = set()
-        if t + 1 > horizon:
+        if t == horizon:
             break
-        if (t + 1) % 2 == 0:
-            for c, r in layer:
-                m = cop.move(G, c, r, t + 1)
-                see_cop(m, t + 1)
-                if m != r:
-                    nxt.add((m, r))
-        else:
-            for c, r in layer:
-                for rp in G.neighbors(r):
-                    if rp != c:
-                        nxt.add((c, rp))
-        layer = nxt
-        t += 1
-
-    worst = None
-    if worst_arrival:
-        worst = tuple(_worst_first_arrival(G, cop, horizon, v) for v in range(n))
-    return TimingProfile(
-        tuple(rob_latest), tuple(cop_earliest), horizon, truncated, worst
-    )
-
-
-def _worst_first_arrival(G: Graph, cop, horizon: int, target: int):
-    """Latest first arrival of the cop at ``target`` over robber
-    behaviours; -1 if some play avoids it entirely within the horizon.
-    Diagnostic companion to ``cop_earliest`` (which takes the minimum)."""
-    c0 = cop.start(G)
-    if c0 == target:
-        return 0
-    n = G.order
-    layer = {(c0, r0) for r0 in range(n) if r0 != c0}
-    latest = None
-    t = 1
-    while t < horizon and layer:
         nxt = set()
-        if (t + 1) % 2 == 0:
+        if t % 2 == 1:  # the cop replies in round t + 1
             for c, r in layer:
                 m = cop.move(G, c, r, t + 1)
+                if cop_earliest[m] < 0:
+                    cop_earliest[m] = t + 1
                 if m == target:
-                    latest = t + 1 if latest is None else max(latest, t + 1)
-                    continue  # play counted; stop extending it
-                if m != r:
+                    arrival = t + 1
+                elif m != r:
+                    rob_latest[r] = t
                     nxt.add((m, r))
-        else:
+        else:  # the robber, not captured, survives round t + 1 by staying
             for c, r in layer:
-                for rp in G.neighbors(r):
-                    if rp != c:
-                        nxt.add((c, rp))
+                rob_latest[r] = t
+                nxt.update((c, rp) for rp in G.neighbors(r) if rp != c)
         layer = nxt
         t += 1
     if layer:
-        return -1  # some play never reaches the target within the horizon
-    return latest if latest is not None else -1
+        arrival = -1
+    return tuple(rob_latest), tuple(cop_earliest), truncated, arrival
 
 
-def order_from_protective(G: Graph, profile: TimingProfile) -> DominatingOrder:
+def order_from_protective(G: Graph, profile: TimingProfile) -> Order:
     """Sort vertices by their latest-robbed round (never-robbed first,
     ties by id) and attach greedy dominators; the result must verify.
 
@@ -452,7 +425,7 @@ def order_from_protective(G: Graph, profile: TimingProfile) -> DominatingOrder:
             raise ProtectiveContradictionError(
                 f"vertex {v} undominated in its recovered prefix"
             )
-    order = DominatingOrder(sequence, dominator)
+    order = Order(sequence, dominator, "constructing")
     check = verify_dominating_order(G, order)
     if not check:
         raise ProtectiveContradictionError(

@@ -14,7 +14,7 @@ from .errors import (
     StrategyUndefinedError,
 )
 from .graphs import Graph
-from .orders import DominatingOrder
+from .orders import Order
 from .retractions import RetractionFamily
 from .solver import GameTable
 
@@ -42,7 +42,7 @@ def chain_pursuit_move(family: RetractionFamily, c: int, r: int, when_stuck: str
     )
 
 
-def prefix_recursive_move(G: Graph, order: DominatingOrder, c: int, r: int) -> int:
+def prefix_recursive_move(G: Graph, order: Order, c: int, r: int) -> int:
     """Recursive prefix strategy: capture the top-ranked vertex when
     adjacent, replace it by its dominator when not, and otherwise recurse
     into the graph one rank down."""
@@ -110,7 +110,7 @@ class ChainPursuitCop:
 class PrefixRecursiveCop:
     kind = "recursive"
 
-    def __init__(self, order: DominatingOrder):
+    def __init__(self, order: Order):
         self.order = order
 
     def start(self, G: Graph) -> int:

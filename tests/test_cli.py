@@ -115,6 +115,40 @@ def test_verify_reports_bad_order(tmp_path, capsys):
     assert code == 1 and "rank 9" in out
 
 
+def test_verify_reports_malformed_order_file(tmp_path, capsys):
+    prefix = str(tmp_path / "p3")
+    run("generate", "--family", "path", "--n", "3", "--out", prefix)
+    bad = tmp_path / "bad.order"
+    bad.write_text("order 0 1 2\ndelta 2:99\n")
+    capsys.readouterr()
+    assert run("verify", "--graph", f"{prefix}.graph", "--order", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_transcript_off_the_graph(tmp_path, capsys):
+    prefix = str(tmp_path / "pet")
+    run("generate", "--family", "petersen", "--out", prefix)
+    payload = {
+        "horizon": 4,
+        "moves": [[0, "cop", 0], [1, "robber", 5], [2, "cop", 1], [3, "robber", 57]],
+        "outcome": {"kind": "horizon", "round": None, "detail": ""},
+        "visit_counts": [0] * 10,
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(payload))
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({**payload, "moves": payload["moves"][:3], "visit_counts": [0] * 3}))
+    for transcript in (path, short):
+        capsys.readouterr()
+        assert run(
+            "verify", "--graph", f"{prefix}.graph", "--transcript", str(transcript),
+            "--criterion", "weak", "--bound", "3",
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_retraction_verification(tmp_path):
     prefix = str(tmp_path / "hub")
     run("generate", "--family", "hubbed_path", "--n", "9", "--out", prefix)
@@ -179,3 +213,44 @@ def test_interactive_play_rejects_illegal_moves(tmp_path):
     assert "not a vertex" in text
     assert "illegal move" in text
     assert "captured" in text
+
+
+_P4_START = ["cop starts at 3 (3)", "robber start> "]
+_P4_ROUND_3 = ["round 2: cop -> 2 (2)", "round 3, robber at 0, moves [0, 1]> "]
+
+
+@pytest.mark.parametrize("horizon, feed, expected", [
+    ("20", ["banana", "0", "7", "0", "1"], _P4_START + [
+        "not a vertex; pick an id from the graph", "robber start> ",
+        *_P4_ROUND_3, "illegal move 0 -> 7", "round 3, robber at 0, moves [0, 1]> ",
+        "round 4: cop -> 1 (1)", "round 5, robber at 0, moves [0, 1]> ",
+        "captured at round 5",
+    ]),
+    ("20", ["3"], _P4_START + ["captured at round 1"]),
+    ("20", ["2"], _P4_START + ["round 2: cop -> 2 (2)", "captured at round 2"]),
+    ("4", ["0", "0"], _P4_START + [*_P4_ROUND_3, "round 4: cop -> 1 (1)",
+                                   "horizon reached; robber survives"]),
+    ("5", ["0", "0", "0"], _P4_START + [
+        *_P4_ROUND_3, "round 4: cop -> 1 (1)", "round 5, robber at 0, moves [0, 1]> ",
+        "horizon reached; robber survives",
+    ]),
+    ("20", ["0", "q"], _P4_START + _P4_ROUND_3),
+    ("20", ["quit"], _P4_START),
+], ids=["illegal_moves", "start_on_cop", "cop_captures", "horizon_after_cop",
+        "horizon_after_robber", "quit_mid_game", "quit_at_start"])
+def test_play_session_log(tmp_path, horizon, feed, expected):
+    prefix = str(tmp_path / "p4")
+    run("generate", "--family", "path", "--n", "4", "--out", prefix)
+    args = build_parser().parse_args([
+        "play", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order",
+        "--cop", "s_star", "--horizon", horizon,
+    ])
+    feed = iter(feed)
+    log = []
+
+    def ask(prompt):
+        log.append(prompt)
+        return next(feed)
+
+    assert _cmd_play(args, input_fn=ask, output_fn=log.append) == 0
+    assert log == expected

@@ -116,6 +116,16 @@ def test_text_rejects_bad_edges():
         Graph.from_text("")
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [("0\n", "line 1"), ("-3\n", "line 1"), ("# header\n0\n", "line 2")],
+    ids=["zero", "negative", "after_comment"],
+)
+def test_text_rejects_vertex_count_below_one(text, where):
+    with pytest.raises(GraphFormatError, match=f"{where}: vertex count"):
+        Graph.from_text(text)
+
+
 def test_unlabelled_text_unchanged():
     assert path_graph(4).to_text() == "4\n0 1\n1 2\n2 3\n"
     G = Graph.from_text(path_graph(4).to_text())

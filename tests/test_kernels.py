@@ -4,6 +4,78 @@ import pytest
 from pursuit import _kernels as K
 from pursuit.generators import cycle_graph, double_wheel, random_connected_graph
 
+# -- reference oracles: the kernels as plain-Python loops over states --------
+
+
+def _tables_loops(adj):
+    n = adj.shape[0]
+    inf = 4 * n * n + 16
+    dc = np.full((n, n), inf, dtype=np.int32)
+    dr = np.full((n, n), inf, dtype=np.int32)
+    changed = True
+    while changed:
+        changed = False
+        for c in range(n):
+            for r in range(n):
+                if c == r:
+                    continue
+                best = inf
+                for cp in range(n):
+                    if adj[c, cp]:
+                        val = 0 if cp == r else dr[cp, r]
+                        if val < best:
+                            best = val
+                if best < inf and best + 1 < dc[c, r]:
+                    dc[c, r] = best + 1
+                    changed = True
+                worst = 0
+                for rp in range(n):
+                    if adj[r, rp]:
+                        val = 0 if rp == c else dc[c, rp]
+                        if val > worst:
+                            worst = val
+                if worst < inf and worst + 1 < dr[c, r]:
+                    dr[c, r] = worst + 1
+                    changed = True
+    for v in range(n):
+        dc[v, v] = 0
+        dr[v, v] = 0
+    return dc, dr
+
+
+def _survive_loops(adj, allowed, cop_allowed, horizon):
+    n = adj.shape[0]
+    layers = np.zeros((horizon + 2, n, n), dtype=np.bool_)
+    for c in range(n):
+        for r in range(n):
+            layers[horizon + 1, c, r] = True
+    for t in range(horizon, 1, -1):
+        if t % 2 == 1:
+            for c in range(n):
+                for r in range(n):
+                    if c == r:
+                        continue
+                    ok = False
+                    for rp in range(n):
+                        if adj[r, rp] and allowed[rp] and rp != c and layers[t + 1, c, rp]:
+                            ok = True
+                            break
+                    layers[t, c, r] = ok
+        else:
+            for c in range(n):
+                for r in range(n):
+                    if c == r:
+                        continue
+                    ok = True
+                    for cp in range(n):
+                        if adj[c, cp] and cop_allowed[cp] and (
+                            cp == r or not layers[t + 1, cp, r]
+                        ):
+                            ok = False
+                            break
+                    layers[t, c, r] = ok
+    return layers
+
 
 def _norm(dist, n):
     inf = 4 * n * n + 16
@@ -12,30 +84,15 @@ def _norm(dist, n):
     return out
 
 
-def _table_kernels():
-    """Kernels checked against the vectorised numpy one: the plain-Python
-    loop kernel everywhere, and its numba compilation where numba imports."""
-    yield K._tables_loops
-    if K.numba is not None:
-        yield K._tables_numba
-
-
-def _survive_kernels():
-    yield K._survive_loops
-    if K.numba is not None:
-        yield K._survive_numba
-
-
 @pytest.mark.parametrize("seed", range(15))
 def test_backends_agree_on_tables(seed):
     G = random_connected_graph(2 + seed % 9, 1000 + seed)
     adj = G.adjacency_matrix()
     n = G.order
+    a = _tables_loops(adj)
     b = K._tables_numpy(adj)
-    for kernel in _table_kernels():
-        a = kernel(adj)
-        assert np.array_equal(_norm(a[0], n), _norm(b[0], n)), kernel.__name__
-        assert np.array_equal(_norm(a[1], n), _norm(b[1], n)), kernel.__name__
+    assert np.array_equal(_norm(a[0], n), _norm(b[0], n))
+    assert np.array_equal(_norm(a[1], n), _norm(b[1], n))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -47,10 +104,9 @@ def test_backends_agree_on_survival(seed):
     if G.order > 2:
         allowed[seed % G.order] = False
         cop_allowed[(seed + 1) % G.order] = False
+    a = _survive_loops(adj, allowed, cop_allowed, 11)
     b = K._survive_numpy(adj, allowed, cop_allowed, 11)
-    for kernel in _survive_kernels():
-        a = kernel(adj, allowed, cop_allowed, 11)
-        assert np.array_equal(a[2:], b[2:]), kernel.__name__
+    assert np.array_equal(a[2:], b[2:])
 
 
 def test_distance_parity():
@@ -82,38 +138,10 @@ def test_c4_state_values():
     assert (dr[off] == -1).all()
 
 
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv("PURSUIT_BACKEND", "numpy")
-    assert K.backend() == "numpy"
-    monkeypatch.setenv("PURSUIT_BACKEND", "numba")
-    if K.numba is None:
-        with pytest.raises(RuntimeError, match="numba is not installed"):
-            K.backend()
-    else:
-        assert K.backend() == "numba"
-    monkeypatch.setenv("PURSUIT_BACKEND", "nonsense")
-    with pytest.raises(RuntimeError):
-        K.backend()
-    monkeypatch.delenv("PURSUIT_BACKEND")
-    assert K.backend() == ("numba" if K.numba is not None else "numpy")
-
-
-def test_compiled_kernels_need_numba(monkeypatch):
-    monkeypatch.setattr(K, "numba", None)
-    monkeypatch.setattr(K, "_tables_jit", None)
-    monkeypatch.setattr(K, "_survive_jit", None)
-    adj = cycle_graph(4).adjacency_matrix()
-    ones = np.ones(4, dtype=np.bool_)
-    with pytest.raises(RuntimeError, match="numba is not installed"):
-        K._tables_numba(adj)
-    with pytest.raises(RuntimeError, match="numba is not installed"):
-        K._survive_numba(adj, ones, ones, 5)
-
-
-def test_numpy_path_end_to_end(monkeypatch):
-    monkeypatch.setenv("PURSUIT_BACKEND", "numpy")
+def test_numpy_path_end_to_end():
     from pursuit import is_cop_win
 
+    assert K.backend() == "numpy"
     G, _ = double_wheel()
     assert is_cop_win(G)
     assert not is_cop_win(cycle_graph(5))

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pursuit import (
-    DominatingOrder,
-    DismantlingOrder,
+    Order,
+    GraphFormatError,
     InvalidOrderError,
     decide_cop_win,
     depth_table,
@@ -96,15 +96,15 @@ def test_depth_table_on_block():
 
 
 def test_depth_table_on_chain_and_cycle_guard():
-    order = DominatingOrder((0, 1, 2, 3), {1: 0, 2: 1, 3: 2})
+    order = Order((0, 1, 2, 3), {1: 0, 2: 1, 3: 2}, "constructing")
     assert depth_table(order) == (0, 1, 2, 3)
-    looped = DominatingOrder((0, 1, 2), {1: 2, 2: 1})
+    looped = Order((0, 1, 2), {1: 2, 2: 1}, "constructing")
     with pytest.raises(InvalidOrderError):
         depth_table(looped)
 
 
 def test_depth_table_stuck_chain():
-    order = DismantlingOrder((0, 1, 2), {0: 1})  # vertex 1 stuck, 2 terminal
+    order = Order((0, 1, 2), {0: 1}, "dismantling")  # vertex 1 stuck, 2 terminal
     with pytest.raises(InvalidOrderError):
         depth_table(order)
     assert depth_table(order, strict=False) == (None, None, 0)
@@ -112,7 +112,7 @@ def test_depth_table_stuck_chain():
 
 def test_naturalize_path_is_identity():
     P5 = path_graph(5)
-    order = DominatingOrder((0, 1, 2, 3, 4), {i: i - 1 for i in range(1, 5)})
+    order = Order((0, 1, 2, 3, 4), {i: i - 1 for i in range(1, 5)}, "constructing")
     nat, levels = naturalize_order(P5, order)
     assert nat.sequence == order.sequence
     assert levels == (0, 1, 2, 3, 4)
@@ -120,7 +120,7 @@ def test_naturalize_path_is_identity():
 
 def test_naturalize_star_all_leaves_level_one():
     S = star_graph(4)
-    order = DominatingOrder((0, 1, 2, 3, 4), {i: 0 for i in range(1, 5)})
+    order = Order((0, 1, 2, 3, 4), {i: 0 for i in range(1, 5)}, "constructing")
     nat, levels = naturalize_order(S, order)
     assert nat.sequence == (0, 1, 2, 3, 4)
     assert levels == (0, 1, 1, 1, 1)
@@ -128,17 +128,43 @@ def test_naturalize_star_all_leaves_level_one():
 
 def test_naturalize_rejects_invalid_input():
     with pytest.raises(InvalidOrderError):
-        naturalize_order(path_graph(3), DominatingOrder((0, 2, 1), {2: 0, 1: 0}))
+        naturalize_order(path_graph(3), Order((0, 2, 1), {2: 0, 1: 0}, "constructing"))
 
 
 def test_order_file_roundtrip_both_flavors():
     G, order = double_wheel()
     again = order_from_text(order_to_text(order))
-    assert isinstance(again, DominatingOrder)
+    assert again.flavor == "constructing"
     assert again.sequence == order.sequence and again.dominator == order.dominator
 
     built = hubbed_path(5)
     text = order_to_text(built.dismantling)
     parsed = order_from_text(text)
-    assert isinstance(parsed, DismantlingOrder)
+    assert parsed.flavor == "dismantling"
     assert parsed.sequence == built.dismantling.sequence
+
+
+def test_order_file_roundtrip_keeps_flavor():
+    G, _ = double_wheel()
+    for order in (find_dominating_order(G), find_dismantling_order(G)):
+        again = order_from_text(order_to_text(order))
+        assert again == order and again.flavor == order.flavor
+    text = "order 0 1 2\ndelta 1:0 2:1\n"
+    constructing = order_from_text(text, flavor="constructing")
+    dismantling = order_from_text(text, flavor="dismantling")
+    assert (constructing.flavor, dismantling.flavor) == ("constructing", "dismantling")
+    assert constructing != dismantling
+    assert order_from_text(order_to_text(dismantling), flavor="dismantling") == dismantling
+
+
+@pytest.mark.parametrize("text", [
+    "order 0 1 2\ndelta 2:99\n",   # dominator outside the sequence
+    "order 0 1 2\ndelta 99:0\n",   # dominated vertex outside the sequence
+    "order 0 1 x\n",                # non-integer vertex
+    "order 0 1 2\ndelta 1-0\n",    # malformed pair
+    "order 0 1 2\ndelta 1:y\n",    # non-integer dominator
+], ids=["dominator_outside", "vertex_outside", "bad_vertex", "bad_pair", "bad_dominator"])
+def test_bad_order_files_rejected(text):
+    for flavor in ("auto", "constructing", "dismantling"):
+        with pytest.raises(GraphFormatError):
+            order_from_text(text, flavor=flavor)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pursuit import (
-    DominatingOrder,
+    Order,
     NontotalRetractionError,
     RetractionFamily,
     ball,
@@ -24,7 +24,7 @@ from pursuit.generators import (
 
 def p3_family():
     P3 = path_graph(3)
-    order = DominatingOrder((0, 1, 2), {1: 0, 2: 1})
+    order = Order((0, 1, 2), {1: 0, 2: 1}, "constructing")
     return P3, RetractionFamily(P3, order)
 
 

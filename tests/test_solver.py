@@ -168,9 +168,9 @@ def test_timing_single_vertex():
 
 def test_timing_p3_protective_profile():
     P3 = path_graph(3)
-    from pursuit import DominatingOrder
+    from pursuit import Order
 
-    fam = RetractionFamily(P3, DominatingOrder((0, 1, 2), {1: 0, 2: 1}))
+    fam = RetractionFamily(P3, Order((0, 1, 2), {1: 0, 2: 1}, "constructing"))
     prof = estimate_timing(P3, ProtectiveCop(fam), horizon=12)
     assert prof.cop_earliest == (0, 2, 4)
     assert prof.rob_latest[0] == -1
@@ -181,9 +181,9 @@ def test_timing_p3_protective_profile():
 
 def test_timing_worst_arrival_diagnostic():
     P3 = path_graph(3)
-    from pursuit import DominatingOrder
+    from pursuit import Order
 
-    fam = RetractionFamily(P3, DominatingOrder((0, 1, 2), {1: 0, 2: 1}))
+    fam = RetractionFamily(P3, Order((0, 1, 2), {1: 0, 2: 1}, "constructing"))
     prof = estimate_timing(P3, ProtectiveCop(fam), horizon=12, worst_arrival=True)
     assert prof.cop_latest_first_arrival is not None
     worst = prof.cop_latest_first_arrival
@@ -215,3 +215,33 @@ def test_protective_roundtrip_on_samples():
 def test_star_and_complete_solver_sanity():
     assert is_cop_win(star_graph(6))
     assert is_cop_win(complete_graph(5))
+
+
+def _protective_profile(G, order, horizon, **kw):
+    return estimate_timing(G, ProtectiveCop(RetractionFamily(G, order)), horizon, **kw)
+
+
+def test_timing_profiles_pinned():
+    P5 = path_graph(5)
+    prof = _protective_profile(P5, find_dominating_order(P5), 20, worst_arrival=True)
+    assert prof.rob_latest == (6, 4, 2, -1, -1)
+    assert prof.cop_earliest == (8, 6, 4, 2, 0)
+    assert prof.cop_latest_first_arrival == (8, 6, 4, 2, 0)
+    assert not prof.truncated
+
+    G, shipped = random_constructible(12, 5)
+    order, _ = naturalize_order(G, shipped)
+    prof = _protective_profile(G, order, 48, worst_arrival=True)
+    assert prof.rob_latest == (-1, -1, 4, 12, 2, 6, 8, 16, 18, 10, 14, 20)
+    assert prof.cop_earliest == (0, 2, 6, 14, 4, 8, 10, 18, 20, 12, 16, 22)
+    assert prof.cop_latest_first_arrival == (0, 10, 6, 22, 4, 8, 10, 20, 22, 12, 16, 22)
+    assert not prof.truncated
+
+    # a horizon too short to reach every vertex, and a budget the first layer exceeds
+    short = _protective_profile(G, order, 7, worst_arrival=True)
+    assert short.rob_latest == (-1, -1, 4, 6, 2, 6, 6, 6, 6, 6, 6, 6)
+    assert short.cop_earliest == (0, 2, 6, -1, 4) + (-1,) * 7
+    assert short.cop_latest_first_arrival == (0,) + (-1,) * 11
+    cut = _protective_profile(G, order, 48, budget=5)
+    assert cut.truncated and cut.cop_latest_first_arrival is None
+    assert cut.rob_latest == (-1,) * 12 and cut.cop_earliest == (0,) + (-1,) * 11

@@ -4,7 +4,7 @@ from pursuit import (
     ChainPursuitCop,
     CycleEvaderRobber,
     DistanceGreedyRobber,
-    DominatingOrder,
+    Order,
     RetractionFamily,
     ScriptError,
     ScriptedRobber,
@@ -31,7 +31,7 @@ from pursuit.generators import (
 
 def p3_family():
     P3 = path_graph(3)
-    order = DominatingOrder((0, 1, 2), {1: 0, 2: 1})
+    order = Order((0, 1, 2), {1: 0, 2: 1}, "constructing")
     return P3, order, RetractionFamily(P3, order)
 
 
@@ -63,7 +63,7 @@ def test_chain_move_stuck_errors_or_stays():
 
 def test_recursive_single_vertex():
     G = Graph(1)
-    order = DominatingOrder((0,), {})
+    order = Order((0,), {}, "constructing")
     assert prefix_recursive_move(G, order, 0, 0) == 0
 
 
