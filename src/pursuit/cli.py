@@ -183,14 +183,7 @@ def _cmd_verify(args) -> int:
             failures.append("order")
 
     if args.retraction:
-        mapping = {}
-        with open(args.retraction, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                u, v = (int(x) for x in line.split())
-                mapping[u] = v
+        mapping = _read_vertex_pairs(args.retraction, graph)
         fixed = {v for v in graph.vertices() if mapping.get(v) == v}
         res = check_retraction(graph, mapping, fixed)
         if res:
@@ -253,15 +246,33 @@ def _resolve_bound(args, graph):
         return int(args.bound)
     except ValueError:
         pass
-    bounds = {}
-    with open(args.bound, "r", encoding="utf-8") as fh:
-        for raw in fh:
+    bounds = _read_vertex_pairs(args.bound, graph)
+    for v in graph.vertices():
+        if v not in bounds:
+            raise GraphFormatError(f"{args.bound}: vertex {v} has no line")
+    return [bounds[v] for v in graph.vertices()]
+
+
+def _read_vertex_pairs(path, graph) -> dict[int, int]:
+    """Read a file of ``u x`` lines (blank and ``#`` lines skipped) into
+    ``{u: x}``; each ``u`` must be a vertex of ``graph`` given once."""
+    pairs: dict[int, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            v, b = (int(x) for x in line.split())
-            bounds[v] = b
-    return [bounds[v] for v in graph.vertices()]
+            where = f"{path} line {lineno}"
+            try:
+                u, x = (int(tok) for tok in line.split())
+            except ValueError:
+                raise GraphFormatError(f"{where}: expected two integers")
+            if not 0 <= u < graph.order:
+                raise GraphFormatError(f"{where}: vertex {u} is not in the graph")
+            if u in pairs:
+                raise GraphFormatError(f"{where}: vertex {u} is repeated")
+            pairs[u] = x
+    return pairs
 
 
 def _cmd_timing(args) -> int:

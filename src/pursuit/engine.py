@@ -48,21 +48,6 @@ class Transcript:
     horizon: int = 0
     cop_kind: str = ""
 
-    def positions(self, player: str):
-        return [(t, v) for t, p, v in self.moves if p == player]
-
-    def robber_moves(self):
-        """Robber actions after placement: (round, previous, target)."""
-        out = []
-        prev = None
-        for t, p, v in self.moves:
-            if p != "robber":
-                continue
-            if prev is not None:
-                out.append((t, prev, v))
-            prev = v
-        return out
-
     @property
     def captured(self) -> bool:
         return self.outcome.kind == "capture"
@@ -75,16 +60,11 @@ class GameConfig:
     robber: object
     max_rounds: int | None = None
     robber_start: int | None = None
-    annotate: bool = True
-    check_invariants: bool = True
 
 
 def default_horizon(G: Graph, cop) -> int:
     family = getattr(cop, "family", None)
-    if family is not None:
-        depth = max(family.max_depth(), 1)
-    else:
-        depth = G.order
+    depth = G.order if family is None else max(family.max_depth(), 1)
     return 10 * G.order * depth
 
 
@@ -100,7 +80,7 @@ def play(cfg: GameConfig) -> Transcript:
         raise ValueError("max_rounds must be at least 2")
 
     family = getattr(cfg.cop, "family", None)
-    annotate = cfg.annotate and family is not None and family.flavor == "constructing"
+    annotate = family is not None and family.flavor == "constructing"
 
     moves = []
     visits = [0] * n
@@ -168,12 +148,7 @@ def play(cfg: GameConfig) -> Transcript:
         horizon,
         getattr(cfg.cop, "kind", ""),
     )
-    if (
-        annotate
-        and cfg.check_invariants
-        and transcript.cop_kind == "chain"
-        and outcome.kind != "fault"
-    ):
+    if annotate and transcript.cop_kind == "chain" and outcome.kind != "fault":
         check = check_pursuit_invariants(transcript)
         if not check:
             raise EngineInvariantError(check.detail)

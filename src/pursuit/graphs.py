@@ -18,6 +18,8 @@ from .errors import GeneratorContractError, GraphFormatError
 
 # Hard cap on the size of a single neighbour set returned by a lazy oracle.
 NEIGHBOR_CAP = 100_000
+# Largest vertex count a graph file may declare; far above what n^2 tables solve.
+MAX_FILE_ORDER = 2**20
 
 
 class Graph:
@@ -197,8 +199,10 @@ class Graph:
                     n = int(line)
                 except ValueError:
                     raise GraphFormatError(f"line {lineno}: expected vertex count")
-                if n < 1:
-                    raise GraphFormatError(f"line {lineno}: vertex count {n} is below 1")
+                if not 1 <= n <= MAX_FILE_ORDER:
+                    raise GraphFormatError(
+                        f"line {lineno}: vertex count {n} is not in 1..{MAX_FILE_ORDER}"
+                    )
                 continue
             parts = line.split()
             if len(parts) != 2:

@@ -3,23 +3,29 @@
 A constructing family projects any vertex onto the order's prefix below a
 cutoff rank by following its dominator chain downward; a dismantling
 family projects onto the suffix at-or-above a cutoff by following the
-chain upward. Both are retractions where defined.
+chain upward. Both are retractions where defined. A family keeps all its
+projections in one table, built on first use.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
+
 from .errors import CheckResult, InvalidOrderError, NontotalRetractionError
 from .graphs import Graph
-from .orders import Order
+from .orders import Order, depth_table
 
 
 class RetractionFamily:
     """Iterated-dominator projections over an ordered graph.
 
-    Pure and memoized; share freely across games. ``retract(cutoff, v)``
-    follows v's dominator chain until the rank condition first holds:
-    rank < cutoff for the constructing flavour, rank >= cutoff for the
-    dismantling flavour.
+    Pure; share freely across games. ``retract(cutoff, v)`` is the first
+    vertex on v's dominator chain whose rank meets the cutoff: rank <
+    cutoff for the constructing flavour, rank >= cutoff for the
+    dismantling flavour. All of them sit in :attr:`table`, built on the
+    first query.
     """
 
     def __init__(self, graph: Graph, order: Order):
@@ -29,8 +35,6 @@ class RetractionFamily:
         self.order = order
         self.flavor = order.flavor
         self._chains: dict[int, tuple[int, ...]] = {}
-        self._memo: dict[tuple[int, int], int] = {}
-        self._depths = None
 
     def rank(self, v: int) -> int:
         return self.order.rank_of(v)
@@ -44,73 +48,74 @@ class RetractionFamily:
         cached = self._chains.get(v)
         if cached is not None:
             return cached
-        bound = self.graph.order
         out = [v]
-        cur = v
-        for _ in range(bound):
-            nxt = self.order.dominator.get(cur)
+        for _ in range(self.graph.order):
+            nxt = self.order.dominator.get(out[-1])
             if nxt is None:
                 break
             if nxt in out:
                 raise InvalidOrderError(f"dominator cycle through vertex {nxt}")
             out.append(nxt)
-            cur = nxt
         else:
             raise InvalidOrderError("dominator chain exceeds the graph order")
-        chain = tuple(out)
-        self._chains[v] = chain
+        self._chains[v] = chain = tuple(out)
         return chain
 
-    def depth(self, v: int):
-        """Chain length to the terminal vertex, or None for stuck chains."""
-        if self._depths is None:
-            from .orders import depth_table
-
-            self._depths = depth_table(self.order, strict=False)
-        return self._depths[v]
-
     def max_depth(self) -> int:
-        depths = [self.depth(v) for v in range(self.graph.order)]
-        finite = [d for d in depths if d is not None]
+        finite = [d for d in depth_table(self.order, strict=False) if d is not None]
         return max(finite) if finite else 0
 
-    def retract(self, cutoff: int, v: int) -> int:
+    @cached_property
+    def table(self) -> np.ndarray:
+        """int32 ``R[k, v]`` = ``retract(k, v)`` for k = 0..n, or -1 where
+        that raises. Along v's chain the running min of ranks (max when
+        dismantling, done as the min of mirrored ranks) meets cutoff k at
+        chain index #{running extrema that miss k}."""
+        n = self.graph.order
+        flip = self.flavor == "dismantling"
+        columns = [[-1] * (n + 1) for _ in range(n)]
+        for v, col in enumerate(columns):
+            try:
+                chain = self.chain(v)
+            except InvalidOrderError:
+                continue  # a broken chain fails only the queries at v
+            low = n
+            for w in chain:
+                r = self.order._rank.get(w)
+                if r is None:  # a dominator outside the graph: retract raises there
+                    break
+                r = n - 1 - r if flip else r
+                if r < low:
+                    col[r + 1 : low + 1] = [w] * (low - r)
+                    low = r
+        table = np.array(columns, dtype=np.int32).T
+        return np.ascontiguousarray(table[::-1] if flip else table)
+
+    def _row(self, cutoff: int) -> int:
+        """Table row for ``cutoff``; raises ValueError when out of range."""
         n = self.graph.order
         if self.flavor == "constructing":
             if cutoff < 1:
                 raise ValueError("constructing projections need cutoff >= 1")
-            cutoff = min(cutoff, n)
-        else:
-            if not (0 <= cutoff <= n - 1):
-                raise ValueError(f"cutoff {cutoff} out of range")
-        key = (cutoff, v)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        for w in self.chain(v):
-            r = self.rank(w)
-            if (self.flavor == "constructing" and r < cutoff) or (
-                self.flavor == "dismantling" and r >= cutoff
-            ):
-                self._memo[key] = w
-                return w
+            return min(cutoff, n)
+        if not (0 <= cutoff <= n - 1):
+            raise ValueError(f"cutoff {cutoff} out of range")
+        return cutoff
+
+    def retract(self, cutoff: int, v: int) -> int:
+        k = self._row(cutoff)
+        w = self.table.item(k, v) if 0 <= v < self.graph.order else -1
+        if w >= 0:
+            return w
+        for u in self.chain(v):  # re-raises a broken chain's error
+            self.rank(u)  # KeyError for a vertex outside the graph
         if self.flavor == "dismantling":
-            raise NontotalRetractionError(cutoff, v)
-        raise InvalidOrderError(
-            f"chain of {v} never drops below rank {cutoff}: broken order"
-        )
+            raise NontotalRetractionError(k, v)
+        raise InvalidOrderError(f"chain of {v} never drops below rank {k}: broken order")
 
     def exponent(self, cutoff: int, v: int) -> int:
         """Number of dominator steps taken by ``retract(cutoff, v)``."""
         return self.chain(v).index(self.retract(cutoff, v))
-
-    def is_total(self, cutoff: int) -> bool:
-        try:
-            for v in range(self.graph.order):
-                self.retract(cutoff, v)
-        except NontotalRetractionError:
-            return False
-        return True
 
     def max_total_cutoff(self) -> int:
         """Largest cutoff at which the dismantling projection is total.
@@ -149,31 +154,33 @@ def check_retraction(G: Graph, mapping, fixed) -> CheckResult:
     return CheckResult(True)
 
 
+def _first(mask) -> int | None:
+    """Index of the first True entry of a boolean array, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
 def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> CheckResult:
     """One projection of the family is a retraction onto its prefix/suffix:
     fixes the target region pointwise and maps edges to edges-or-equal."""
-    n = G.order
-    if family.flavor == "constructing":
-        target = {v for v in G.vertices() if family.rank(v) < cutoff}
-    else:
-        target = {v for v in G.vertices() if family.rank(v) >= cutoff}
-    try:
-        image = {v: family.retract(cutoff, v) for v in G.vertices()}
-    except NontotalRetractionError as err:
-        return CheckResult(False, where=(cutoff, err.vertex), detail=str(err))
-    for v in G.vertices():
-        if image[v] not in target:
-            return CheckResult(False, where=v, detail=f"image of {v} misses the target region")
-    for h in target:
-        if image[h] != h:
-            return CheckResult(False, where=h, detail=f"target vertex {h} moved to {image[h]}")
-    for u, v in G.edges():
-        if not G.adjacent(image[u], image[v]):
-            return CheckResult(
-                False,
-                where=(cutoff, u, v),
-                detail=f"cutoff {cutoff}: edge ({u},{v}) maps to non-edge",
-            )
+    image = family.table[family._row(cutoff)]
+    if (v := _first(image < 0)) is not None:
+        try:
+            family.retract(cutoff, v)  # raises the error behind the -1
+        except NontotalRetractionError as err:
+            return CheckResult(False, where=(cutoff, err.vertex), detail=str(err))
+    ranks = np.array([family.rank(v) for v in G.vertices()])
+    in_target = ranks < cutoff if family.flavor == "constructing" else ranks >= cutoff
+    if (v := _first(~in_target[image])) is not None:
+        return CheckResult(False, where=v, detail=f"image of {v} misses the target region")
+    if (h := _first(in_target & (image != np.arange(G.order)))) is not None:
+        return CheckResult(False, where=h, detail=f"target vertex {h} moved to {image[h]}")
+    edges = np.array(list(G.edges()), dtype=np.intp).reshape(-1, 2)
+    if (i := _first(~G.adjacency_matrix()[image[edges[:, 0]], image[edges[:, 1]]])) is not None:
+        u, v = edges[i].tolist()
+        return CheckResult(
+            False, where=(cutoff, u, v), detail=f"cutoff {cutoff}: edge ({u},{v}) maps to non-edge"
+        )
     return CheckResult(True)
 
 
@@ -186,27 +193,27 @@ def check_shifted_edge_property(
     Default cutoffs cover every k at which both projections involved are
     total; the result records the tested range in ``where`` on success.
     """
-    n = G.order
     if cutoffs is None:
-        if family.flavor == "constructing":
-            cutoffs = range(1, n)
-        else:
-            cutoffs = range(0, family.max_total_cutoff())
+        cons = family.flavor == "constructing"
+        cutoffs = range(1, G.order) if cons else range(0, family.max_total_cutoff())
     cutoffs = list(cutoffs)
-    for k in cutoffs:
-        for u, v in G.edges():
-            for a, b in ((u, v), (v, u)):
-                try:
-                    pa = family.retract(k + 1, a)
-                    pb = family.retract(k, b)
-                except NontotalRetractionError as err:
-                    return CheckResult(False, where=(k, a, b), detail=str(err))
-                if not G.adjacent(pa, pb):
-                    return CheckResult(
-                        False,
-                        where=(k, a, b),
-                        detail=(
-                            f"cutoff {k}: edge ({a},{b}) shifts to non-edge ({pa},{pb})"
-                        ),
-                    )
+    edges = np.array(list(G.edges()), dtype=np.intp).reshape(-1, 2)
+    a, b = edges.reshape(-1), edges[:, ::-1].reshape(-1)  # (u, v) before (v, u)
+    adj = G.adjacency_matrix()
+    for k in cutoffs if len(a) else ():
+        try:
+            pa, pb = family.table[family._row(k + 1)][a], family.table[family._row(k)][b]
+        except ValueError:
+            i = 0  # a cutoff out of range fails the first pair; retract says how
+        else:
+            i = _first((pa < 0) | (pb < 0) | ~adj[pa, pb])
+        if i is None:
+            continue
+        u, v = int(a[i]), int(b[i])
+        try:
+            pu, pv = family.retract(k + 1, u), family.retract(k, v)
+        except NontotalRetractionError as err:
+            return CheckResult(False, where=(k, u, v), detail=str(err))
+        detail = f"cutoff {k}: edge ({u},{v}) shifts to non-edge ({pu},{pv})"
+        return CheckResult(False, where=(k, u, v), detail=detail)
     return CheckResult(True, where=tuple(cutoffs))

@@ -254,3 +254,67 @@ def test_play_session_log(tmp_path, horizon, feed, expected):
 
     assert _cmd_play(args, input_fn=ask, output_fn=log.append) == 0
     assert log == expected
+
+
+def test_simulate_protective_writes_json(tmp_path):
+    prefix = str(tmp_path / "rc")
+    run("generate", "--family", "random_constructible", "--n", "12", "--seed", "4", "--out", prefix)
+    tj = tmp_path / "game.json"
+    assert run(
+        "simulate", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order",
+        "--cop", "protective", "--robber", "greedy", "--json-out", str(tj),
+    ) == 0
+    payload = json.loads(tj.read_text())
+    assert payload["cop_kind"] == "protective"
+    assert payload["outcome"]["kind"] == "capture"
+    assert all(type(v) is int for _, _, v in payload["moves"])
+
+
+def _weak_verify(tmp_path, bound_text):
+    prefix = str(tmp_path / "p4")
+    run("generate", "--family", "path", "--n", "4", "--out", prefix)
+    tj = str(tmp_path / "game.json")
+    run("simulate", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order",
+        "--cop", "s_star", "--robber", "greedy", "--json-out", tj)
+    bound = tmp_path / "bound.txt"
+    bound.write_text(bound_text)
+    return run("verify", "--graph", f"{prefix}.graph", "--transcript", tj,
+               "--criterion", "weak", "--bound", str(bound))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 5\n1 5\n", "vertex 2 has no line"),
+    ("0 5\n1 5\n2 5\n3 5\n9 5\n", "line 5: vertex 9 is not in the graph"),
+    ("0 5\n1 5\n# comment\n1 6\n2 5\n3 5\n", "line 4: vertex 1 is repeated"),
+    ("0 5\n1 5 7\n", "line 2: expected two integers"),
+    ("0 x\n", "line 1: expected two integers"),
+], ids=["missing", "outside", "repeated", "three_fields", "not_integer"])
+def test_verify_rejects_bad_bound_file(tmp_path, capsys, text, message):
+    capsys.readouterr()
+    assert _weak_verify(tmp_path, text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'bound.txt'}") and err.count("\n") == 1
+    assert message in err
+
+
+def test_verify_accepts_complete_bound_file(tmp_path, capsys):
+    capsys.readouterr()
+    assert _weak_verify(tmp_path, "# v bound\n0 5\n1 5\n\n2 5\n3 5\n") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "weak: ok"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 0\n1 0\n1 1\n", "line 3: vertex 1 is repeated"),
+    ("0 0\n-1 0\n", "line 2: vertex -1 is not in the graph"),
+    ("0\n", "line 1: expected two integers"),
+], ids=["repeated", "outside", "one_field"])
+def test_verify_rejects_bad_retraction_file(tmp_path, capsys, text, message):
+    prefix = str(tmp_path / "p3")
+    run("generate", "--family", "path", "--n", "3", "--out", prefix)
+    rmap = tmp_path / "fold.map"
+    rmap.write_text(text)
+    capsys.readouterr()
+    assert run("verify", "--graph", f"{prefix}.graph", "--retraction", str(rmap)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rmap} ") and err.count("\n") == 1
+    assert message in err

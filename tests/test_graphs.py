@@ -10,6 +10,8 @@ from pursuit import (
     dominates,
     induced_subgraph,
 )
+from pursuit.cli import main
+from pursuit.graphs import MAX_FILE_ORDER
 from pursuit.generators import (
     complete_graph,
     cycle_graph,
@@ -124,6 +126,18 @@ def test_text_rejects_bad_edges():
 def test_text_rejects_vertex_count_below_one(text, where):
     with pytest.raises(GraphFormatError, match=f"{where}: vertex count"):
         Graph.from_text(text)
+
+
+def test_text_rejects_vertex_count_above_limit(tmp_path, capsys):
+    # one above the limit: a missing check then costs one large graph, not 10**9 sets
+    text = f"{MAX_FILE_ORDER + 1}\n0 1\n"
+    with pytest.raises(GraphFormatError, match=f"line 1: vertex count {MAX_FILE_ORDER + 1} is not in 1"):
+        Graph.from_text(text)
+    path = tmp_path / "huge.graph"
+    path.write_text(text)
+    assert main(["order", "--graph", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: vertex count") and err.count("\n") == 1
 
 
 def test_unlabelled_text_unchanged():

@@ -2,6 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pursuit import (
+    ChainPursuitCop,
+    CheckResult,
+    DistanceGreedyRobber,
+    GameConfig,
+    InvalidOrderError,
     Order,
     NontotalRetractionError,
     RetractionFamily,
@@ -9,8 +14,11 @@ from pursuit import (
     check_family_retraction,
     check_retraction,
     check_shifted_edge_property,
+    find_dismantling_order,
     find_dominating_order,
     induced_subgraph,
+    naturalize_order,
+    play,
 )
 from pursuit.generators import (
     cycle_graph,
@@ -49,8 +57,9 @@ def test_two_step_chain():
 
 def test_memoization_shares_results():
     _, fam = p3_family()
-    assert fam.retract(1, 2) == 0
-    assert (1, 2) in fam._memo
+    first = [fam.retract(k, v) for k in range(1, 4) for v in range(3)]
+    assert [fam.retract(k, v) for k in range(1, 4) for v in range(3)] == first
+    assert all(type(w) is int for w in first)
 
 
 def test_constructing_family_is_retraction_at_every_cutoff():
@@ -156,3 +165,293 @@ def test_dismantling_family_is_retraction_onto_suffixes():
     fam = RetractionFamily(view.graph, view.dismantling_order())
     for cutoff in range(0, 9):
         assert check_family_retraction(view.graph, fam, cutoff)
+
+
+# -- pinned errors and first violations --------------------------------------
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as err:  # noqa: BLE001 - the exception is the result
+        return (type(err).__name__, str(err))
+
+
+def _shuffled_constructing():
+    # random_constructible(10, 3)'s dominator map over a shuffled sequence
+    G, order = random_constructible(10, 3)
+    seq = (6, 8, 9, 7, 5, 3, 0, 4, 1, 2)
+    return G, RetractionFamily(G, Order(seq, order.dominator, "constructing"))
+
+
+def test_hubbed_path_nontotal_errors_pinned():
+    built = hubbed_path(9)
+    G = built.graph
+    fam = RetractionFamily(G, built.dismantling)
+    for cutoff in (10, 11, 12):
+        for v in range(10):
+            with pytest.raises(NontotalRetractionError) as err:
+                fam.retract(cutoff, v)
+            assert (err.value.cutoff, err.value.vertex) == (cutoff, v)
+            assert str(err.value) == f"projection onto ranks >= {cutoff} is undefined at vertex {v}"
+        assert [fam.retract(cutoff, v) for v in (10, 11, 12)] == [
+            max(cutoff, w) for w in (10, 11, 12)
+        ]
+        res = check_family_retraction(G, fam, cutoff)
+        assert res == CheckResult(
+            False, (cutoff, 0), f"projection onto ranks >= {cutoff} is undefined at vertex 0"
+        )
+    assert check_shifted_edge_property(G, fam, [8, 9, 10]) == CheckResult(
+        False, (9, 0, 1), "projection onto ranks >= 10 is undefined at vertex 0"
+    )
+
+
+def test_broken_chain_errors_pinned():
+    G, fam = _shuffled_constructing()
+    assert [_outcome(fam.retract, 3, v) for v in G.vertices()] == [
+        ("ok", v) if v in (6, 8, 9)
+        else ("InvalidOrderError", f"chain of {v} never drops below rank 3: broken order")
+        for v in G.vertices()
+    ]
+    assert _outcome(check_family_retraction, G, fam, 3) == (
+        "InvalidOrderError", "chain of 0 never drops below rank 3: broken order"
+    )
+    assert _outcome(check_shifted_edge_property, G, fam) == (
+        "InvalidOrderError", "chain of 0 never drops below rank 2: broken order"
+    )
+    # a 2-cycle in the dominator map breaks only the chains through it
+    two_cycle = RetractionFamily(path_graph(4), Order((0, 1, 2, 3), {1: 2, 2: 1, 3: 0}, "constructing"))
+    assert [_outcome(two_cycle.retract, 2, v) for v in range(4)] == [
+        ("ok", 0),
+        ("InvalidOrderError", "dominator cycle through vertex 1"),
+        ("InvalidOrderError", "dominator cycle through vertex 2"),
+        ("ok", 0),
+    ]
+    with pytest.raises(InvalidOrderError, match="dominator cycle through vertex 1"):
+        check_family_retraction(two_cycle.graph, two_cycle, 4)
+
+
+def test_cutoff_and_vertex_range_errors_pinned():
+    _, cons = p3_family()
+    for cutoff in (0, -1):
+        assert _outcome(cons.retract, cutoff, 0) == (
+            "ValueError", "constructing projections need cutoff >= 1"
+        )
+    assert cons.retract(7, 2) == 2  # cutoffs above n clamp to n
+    built = hubbed_path(9)
+    G = built.graph
+    dis = RetractionFamily(G, built.dismantling)
+    for cutoff in (-1, 13):
+        assert _outcome(dis.retract, cutoff, 0) == ("ValueError", f"cutoff {cutoff} out of range")
+        assert _outcome(check_family_retraction, G, dis, cutoff) == (
+            "ValueError", f"cutoff {cutoff} out of range"
+        )
+    # k = 12 needs the projection at k + 1 = n
+    assert _outcome(check_shifted_edge_property, G, dis, [11, 12]) == (
+        "ok",
+        CheckResult(False, (11, 0, 1), "projection onto ranks >= 12 is undefined at vertex 0"),
+    )
+    assert _outcome(check_shifted_edge_property, G, dis, [12]) == (
+        "ValueError", "cutoff 13 out of range"
+    )
+    for fam, n in ((cons, 3), (dis, 13)):
+        for v in (-1, n):
+            with pytest.raises(KeyError) as err:
+                fam.retract(1, v)
+            assert err.value.args == (v,)
+
+
+def test_first_violations_pinned():
+    G, fam = _shuffled_constructing()
+    assert check_family_retraction(G, fam, 8) == CheckResult(
+        False, (8, 1, 5), "cutoff 8: edge (1,5) maps to non-edge"
+    )
+    # random_constructible(9, 0) with its root kept first and the rest shuffled
+    G, order = random_constructible(9, 0)
+    fam = RetractionFamily(G, Order((0, 5, 2, 6, 3, 1, 4, 8, 7), order.dominator, "constructing"))
+    assert check_shifted_edge_property(G, fam) == CheckResult(
+        False, (1, 5, 1), "cutoff 1: edge (5,1) shifts to non-edge (5,0)"
+    )
+    assert [check_family_retraction(G, fam, k).where for k in range(1, 10)] == [
+        None, (2, 1, 5), (3, 1, 5), (4, 1, 5), (5, 1, 5), (6, 4, 6), None, None, None
+    ]
+    G, _ = random_constructible(9, 0)
+    dis = find_dismantling_order(G)
+    fam = RetractionFamily(G, Order((7, 6, 1, 5, 2, 3, 0, 8, 4), dis.dominator, "dismantling"))
+    assert check_shifted_edge_property(G, fam, range(8)) == CheckResult(
+        False, (4, 1, 0), "cutoff 4: edge (1,0) shifts to non-edge (4,0)"
+    )
+
+
+# -- the chain walk as a reference oracle -----------------------------------
+
+
+def _reference_chain(order, n, v):
+    out = [v]
+    cur = v
+    for _ in range(n):
+        nxt = order.dominator.get(cur)
+        if nxt is None:
+            break
+        if nxt in out:
+            raise InvalidOrderError(f"dominator cycle through vertex {nxt}")
+        out.append(nxt)
+        cur = nxt
+    else:
+        raise InvalidOrderError("dominator chain exceeds the graph order")
+    return out
+
+
+def reference_retract(fam, cutoff, v):
+    """Projection by walking v's dominator chain, one query at a time."""
+    order, n = fam.order, fam.graph.order
+    if order.flavor == "constructing":
+        if cutoff < 1:
+            raise ValueError("constructing projections need cutoff >= 1")
+        cutoff = min(cutoff, n)
+    elif not (0 <= cutoff <= n - 1):
+        raise ValueError(f"cutoff {cutoff} out of range")
+    for w in _reference_chain(order, n, v):
+        r = order.rank_of(w)
+        if (order.flavor == "constructing" and r < cutoff) or (
+            order.flavor == "dismantling" and r >= cutoff
+        ):
+            return w
+    if order.flavor == "dismantling":
+        raise NontotalRetractionError(cutoff, v)
+    raise InvalidOrderError(f"chain of {v} never drops below rank {cutoff}: broken order")
+
+
+def reference_family_check(G, fam, cutoff):
+    rank = fam.order.rank_of
+    if fam.flavor == "constructing":
+        target = {v for v in G.vertices() if rank(v) < cutoff}
+    else:
+        target = {v for v in G.vertices() if rank(v) >= cutoff}
+    try:
+        image = {v: reference_retract(fam, cutoff, v) for v in G.vertices()}
+    except NontotalRetractionError as err:
+        return CheckResult(False, where=(cutoff, err.vertex), detail=str(err))
+    for v in G.vertices():
+        if image[v] not in target:
+            return CheckResult(False, where=v, detail=f"image of {v} misses the target region")
+    for h in target:
+        if image[h] != h:
+            return CheckResult(False, where=h, detail=f"target vertex {h} moved to {image[h]}")
+    for u, v in G.edges():
+        if not G.adjacent(image[u], image[v]):
+            return CheckResult(
+                False, where=(cutoff, u, v), detail=f"cutoff {cutoff}: edge ({u},{v}) maps to non-edge"
+            )
+    return CheckResult(True)
+
+
+def reference_shift_check(G, fam, cutoffs=None):
+    n = G.order
+    if cutoffs is None:
+        if fam.flavor == "constructing":
+            cutoffs = range(1, n)
+        else:
+            top = min(
+                max(fam.order.rank_of(w) for w in _reference_chain(fam.order, n, v))
+                for v in range(n)
+            )
+            cutoffs = range(0, top)
+    cutoffs = list(cutoffs)
+    for k in cutoffs:
+        for u, v in G.edges():
+            for a, b in ((u, v), (v, u)):
+                try:
+                    pa = reference_retract(fam, k + 1, a)
+                    pb = reference_retract(fam, k, b)
+                except NontotalRetractionError as err:
+                    return CheckResult(False, where=(k, a, b), detail=str(err))
+                if not G.adjacent(pa, pb):
+                    return CheckResult(
+                        False, where=(k, a, b),
+                        detail=f"cutoff {k}: edge ({a},{b}) shifts to non-edge ({pa},{pb})",
+                    )
+    return CheckResult(True, where=tuple(cutoffs))
+
+
+ORDER_KINDS = ("valid", "natural", "dismantling", "shuffled", "shuffled_dismantling", "two_cycle")
+
+
+def _family_of_kind(n, seed, kind, rng):
+    G, order = random_constructible(n, seed)
+    if kind == "natural":
+        order, _ = naturalize_order(G, order)
+    elif kind in ("dismantling", "shuffled_dismantling"):
+        order = find_dismantling_order(G)
+    if kind.startswith("shuffled"):
+        seq = list(order.sequence)
+        rng.shuffle(seq)
+        order = Order(tuple(seq), order.dominator, order.flavor)
+    elif kind == "two_cycle" and n >= 2:
+        a, b = rng.sample(range(n), 2)
+        order = Order(order.sequence, {**order.dominator, a: b, b: a}, order.flavor)
+    return G, RetractionFamily(G, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 14),
+    st.integers(0, 10_000),
+    st.sampled_from(ORDER_KINDS),
+    st.randoms(use_true_random=False),
+)
+def test_table_matches_chain_walk(n, seed, kind, rng):
+    _assert_matches_reference(*_family_of_kind(n, seed, kind, rng))
+
+
+def test_table_matches_chain_walk_on_paper_families():
+    built = hubbed_path(9)
+    view = ball(ray(), 10)
+    wheel, wheel_order = double_wheel()
+    for G, order in (
+        (built.graph, built.dismantling),
+        (view.graph, view.dismantling_order()),
+        (view.graph, view.dominating_order()),
+        (wheel, wheel_order),
+    ):
+        _assert_matches_reference(G, RetractionFamily(G, order))
+
+
+def _assert_matches_reference(G, fam):
+    n = G.order
+    for k in range(-1, n + 2):
+        for v in range(-1, n + 1):
+            got = _outcome(fam.retract, k, v)
+            assert got == _outcome(reference_retract, fam, k, v), (k, v)
+            if got[0] == "ok":
+                assert type(got[1]) is int
+        assert _outcome(check_family_retraction, G, fam, k) == _outcome(
+            reference_family_check, G, fam, k
+        ), k
+    assert _outcome(check_shifted_edge_property, G, fam) == _outcome(
+        reference_shift_check, G, fam
+    )
+    for cutoffs in (range(-1, n + 1), range(1, n), [n - 1, 0]):
+        assert _outcome(check_shifted_edge_property, G, fam, cutoffs) == _outcome(
+            reference_shift_check, G, fam, cutoffs
+        ), list(cutoffs)
+
+
+def test_dominator_outside_the_graph_fails_only_past_it():
+    fam = RetractionFamily(path_graph(3), Order((0, 1, 2), {1: 0, 2: 7}, "constructing"))
+    assert [fam.retract(3, v) for v in range(3)] == [0, 1, 2]
+    assert fam.retract(1, 1) == 0
+    with pytest.raises(KeyError) as err:
+        fam.retract(2, 2)
+    assert err.value.args == (7,)
+    _assert_matches_reference(fam.graph, fam)
+
+
+def test_chain_pursuit_never_builds_the_table():
+    G, order = random_constructible(12, 5)
+    fam = RetractionFamily(G, order)
+    T = play(GameConfig(G, ChainPursuitCop(fam), DistanceGreedyRobber()))
+    assert T.captured and "table" not in vars(fam)
+    assert fam.retract(1, 0) == order.sequence[0]
+    assert "table" in vars(fam)
