@@ -57,7 +57,8 @@ def _build_cop(kind: str, graph: Graph, order):
     if kind == "optimal":
         return TableCop(decide_cop_win(graph))
     if order is None:
-        order = find_dominating_order(graph)
+        find = find_dismantling_order if kind == "dismantable" else find_dominating_order
+        order = find(graph)
         if order is None:
             raise PursuitError(f"--cop {kind} needs an order, and the graph is not constructible")
     if kind == "recursive":

@@ -28,25 +28,15 @@ class GameTable:
 
     @property
     def cop_win(self) -> bool:
-        n = self.graph.order
-        for c in range(n):
-            if all(r == c or self.cop_dist[c, r] >= 0 for r in range(n)):
-                return True
-        return False
+        return bool((self.cop_dist >= 0).all(axis=1).any())
 
     def best_cop_start(self) -> int:
         """Deterministic start: fewest safe robber replies, then smallest
         worst-case capture distance, then lowest id."""
-        n = self.graph.order
-        best = None
-        for c in range(n):
-            escapes = sum(1 for r in range(n) if r != c and self.cop_dist[c, r] < 0)
-            finite = [int(self.cop_dist[c, r]) for r in range(n) if self.cop_dist[c, r] >= 0]
-            worst = max(finite) if finite else 0
-            key = (escapes, worst, c)
-            if best is None or key < best:
-                best = key
-        return best[2]
+        d = self.cop_dist
+        # lexsort is stable, so ties go to the lowest id; the row max is the
+        # worst finite distance (0 on the diagonal when none is finite).
+        return int(np.lexsort((d.max(axis=1), (d < 0).sum(axis=1)))[0])
 
     def _cop_value(self, cp: int, r: int) -> float:
         if cp == r:
@@ -87,8 +77,9 @@ class GameTable:
 
 
 def decide_cop_win(G: Graph) -> GameTable:
-    """Exact verdict by iterated fixpoint over game states; the table
-    exposes an optimal cop strategy and an optimal robber policy."""
+    """Exact verdict by retrograde analysis: game states are settled ply
+    by ply in order of distance from capture. The table exposes an
+    optimal cop strategy and an optimal robber policy."""
     if not G.is_connected():
         raise ValueError("graph must be connected")
     dc, dr = _kernels.game_distance_tables(G.adjacency_matrix())

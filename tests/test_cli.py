@@ -175,6 +175,28 @@ def test_timing_and_recovery(tmp_path, capsys):
     assert "recovered" in out
 
 
+def test_dismantable_cop_finds_its_own_order(tmp_path, capsys):
+    prefix = str(tmp_path / "p4")
+    run("generate", "--family", "path", "--n", "4", "--out", prefix)
+    capsys.readouterr()
+    assert run("simulate", "--graph", f"{prefix}.graph", "--cop", "dismantable",
+               "--robber", "greedy") == 0
+    assert capsys.readouterr().out.startswith("capture at round")
+    assert run("timing", "--graph", f"{prefix}.graph", "--cop", "dismantable",
+               "--horizon", "12") == 0
+    assert capsys.readouterr().out.startswith("horizon 12")
+
+
+def test_dismantable_cop_without_order_on_robber_win_graph(tmp_path, capsys):
+    prefix = str(tmp_path / "pet")
+    run("generate", "--family", "petersen", "--out", prefix)
+    capsys.readouterr()
+    for extra in (("simulate", "--robber", "greedy"), ("timing",)):
+        assert run(*extra, "--graph", f"{prefix}.graph", "--cop", "dismantable") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --cop dismantable needs an order")
+
+
 def test_outputs_are_byte_identical(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for prefix in (a, b):

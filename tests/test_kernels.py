@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pursuit import _kernels as K
-from pursuit.generators import cycle_graph, double_wheel, random_connected_graph
+from pursuit.generators import (
+    cycle_graph,
+    double_wheel,
+    leafless_tree_ball,
+    path_graph,
+    random_connected_graph,
+    random_constructible,
+    wheel_tree,
+)
+from pursuit.graphs import Graph, ball
 
 # -- reference oracles: the kernels as plain-Python loops over states --------
 
@@ -90,9 +100,49 @@ def test_backends_agree_on_tables(seed):
     adj = G.adjacency_matrix()
     n = G.order
     a = _tables_loops(adj)
-    b = K._tables_numpy(adj)
+    b = K.game_distance_tables(adj)
     assert np.array_equal(_norm(a[0], n), _norm(b[0], n))
     assert np.array_equal(_norm(a[1], n), _norm(b[1], n))
+
+
+def _assert_tables_match_loops(G):
+    adj = G.adjacency_matrix()
+    dc, dr = K.game_distance_tables(adj)
+    ref = _tables_loops(adj)
+    assert dc.dtype == dr.dtype == np.int32
+    assert np.array_equal(dc, _norm(ref[0], G.order))
+    assert np.array_equal(dr, _norm(ref[1], G.order))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_tables_match_loops_on_paths(n):
+    _assert_tables_match_loops(path_graph(n))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_tables_match_loops_on_random_constructible(n):
+    _assert_tables_match_loops(random_constructible(n, 3000 + n)[0])
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_tables_match_loops_on_balls(radius):
+    _assert_tables_match_loops(leafless_tree_ball(3, radius).graph)
+    _assert_tables_match_loops(ball(wheel_tree(), radius).graph)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 10))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return Graph(n, [(p, v) for v, p in enumerate(parents, start=1)] + extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs())
+def test_tables_match_loops_on_hypothesis_graphs(G):
+    _assert_tables_match_loops(G)
 
 
 @pytest.mark.parametrize("seed", range(10))

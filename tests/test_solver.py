@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pursuit import (
@@ -15,15 +16,18 @@ from pursuit import (
     order_from_protective,
     verify_dominating_order,
 )
-from pursuit.graphs import Graph
+from pursuit.graphs import Graph, ball
 from pursuit.generators import (
     complete_graph,
     cycle_graph,
     double_wheel,
+    leafless_tree_ball,
     path_graph,
+    petersen_graph,
     random_connected_graph,
     random_constructible,
     star_graph,
+    wheel_tree,
 )
 
 
@@ -245,3 +249,60 @@ def test_timing_profiles_pinned():
     cut = _protective_profile(G, order, 48, budget=5)
     assert cut.truncated and cut.cop_latest_first_arrival is None
     assert cut.rob_latest == (-1,) * 12 and cut.cop_earliest == (0,) + (-1,) * 11
+
+
+# -- checks from the game's theory at sizes the loop oracle cannot reach ----
+
+
+def test_path_tables_match_closed_form():
+    # On a path the robber runs to the far end and waits; with the cop to
+    # move, an adjacent robber is caught at once. At n = 400 this also keeps
+    # the table kernel away from per-ply n^3 work, which would take minutes.
+    n = 400
+    table = decide_cop_win(path_graph(n))
+    c, r = np.indices((n, n))
+    far = np.where(r > c, n - 1 - c, c)
+    dr = np.where(r == c, 0, 2 * far)
+    dc = np.where(r == c, 0, np.where(abs(r - c) == 1, 1, 2 * far - 1))
+    assert np.array_equal(table.robber_dist, dr)
+    assert np.array_equal(table.cop_dist, dc)
+    assert table.cop_win and table.best_cop_start() == (n - 1) // 2
+
+
+def _survival_threshold(table) -> float:
+    """The smallest horizon by which the cop forces capture: min over cop
+    starts of 1 + the worst robber start, a state the cop cannot force
+    counting as infinite."""
+    d = table.cop_dist.astype(float)
+    d[d < 0] = np.inf
+    np.fill_diagonal(d, -np.inf)
+    return float((1 + d.max(axis=1)).min())
+
+
+@pytest.mark.parametrize("G", [
+    pytest.param(path_graph(30), id="path(30)"),
+    pytest.param(random_constructible(40, 17)[0], id="random_constructible(40)"),
+    pytest.param(random_connected_graph(30, 23), id="random_connected(30)"),
+    pytest.param(leafless_tree_ball(3, 4).graph, id="tree(3,4)"),
+    pytest.param(ball(wheel_tree(), 3).graph, id="wheel_tree(3)"),
+    pytest.param(cycle_graph(9), id="C9"),
+    pytest.param(petersen_graph(), id="petersen"),
+])
+def test_survival_threshold_matches_tables(G):
+    threshold = _survival_threshold(decide_cop_win(G))
+    for h in range(2, 2 * G.order + 4):
+        assert adversarial_search(G, h, budget=None).value == (h < threshold), h
+
+
+@pytest.mark.parametrize("G", [
+    *(pytest.param(random_constructible(n, 40 + n)[0], id=f"random_constructible({n})")
+      for n in (50, 120, 200)),
+    *(pytest.param(random_connected_graph(n, 60 + n), id=f"random_connected({n})")
+      for n in (40, 90, 150)),
+    # edge density 0.99, cop-win; the three above are robber-win
+    pytest.param(random_connected_graph(100, 17), id="random_connected(100,dense)"),
+    pytest.param(leafless_tree_ball(3, 6).graph, id="tree(3,6)"),
+    pytest.param(ball(wheel_tree(), 5).graph, id="wheel_tree(5)"),
+])
+def test_peel_finds_order_iff_cop_win(G):
+    assert (find_dominating_order(G) is not None) == decide_cop_win(G).cop_win
