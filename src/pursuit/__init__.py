@@ -72,6 +72,7 @@ from .engine import (
     evaluate_cweak,
     evaluate_weak,
     play,
+    replay,
 )
 from .solver import (
     GameTable,

@@ -4,9 +4,11 @@ The tables come from retrograde analysis: states are settled ply by ply
 in order of distance from capture, each ply working only on the rows
 that the previous ply settled, with O(n^2) memory and float32 BLAS
 products for the neighbour counts. The survival DP is a backward sweep
-of boolean layers. ``tests/test_kernels.py`` keeps plain-Python loop
-versions of both kernels as reference oracles and checks that these give
-identical tables and survival layers.
+of boolean layers, one float32 BLAS product per round, that stops once
+the layers repeat with period 2 and returns only the layers it computed.
+``tests/test_kernels.py`` keeps plain-Python loop versions of both
+kernels as reference oracles and checks that these give identical tables
+and survival layers.
 """
 
 from __future__ import annotations
@@ -84,35 +86,28 @@ def game_distance_tables(adj: np.ndarray):
 
 # -- bounded survival DP ----------------------------------------------------
 #
-# layers[t, c, r] answers: with positions (c, r) uncaptured and round t
-# about to be played (robber on odd t, cop on even t), can the robber
-# avoid capture through round `horizon` against every cop behaviour,
-# moving only inside `allowed`? Layer horizon+1 is all-True (survived).
-
-
-def _survive_numpy(adj, allowed, cop_allowed, horizon):
-    n = adj.shape[0]
-    eye = np.eye(n, dtype=np.bool_)
-    adj16 = adj.astype(np.int16)
-    adj_cop16 = (adj & cop_allowed[None, :]).astype(np.int16)
-    layers = np.zeros((horizon + 2, n, n), dtype=np.bool_)
-    layers[horizon + 1] = True
-    for t in range(horizon, 1, -1):
-        nxt = layers[t + 1]
-        if t % 2 == 1:
-            safe = nxt & ~eye & allowed[None, :]  # (c, r')
-            layer = (safe.astype(np.int16) @ adj16) > 0  # any r' in N[r]
-        else:
-            bad = eye | ~nxt  # (c', r)
-            layer = ~((adj_cop16 @ bad.astype(np.int16)) > 0)  # no bad c' in N[c]
-        layer &= ~eye
-        layers[t] = layer
-    return layers
+# Layer t answers, for every (c, r): with positions (c, r) uncaptured and
+# round t about to be played (robber on odd t, cop on even t), can the
+# robber avoid capture through round `horizon` against every cop behaviour,
+# moving only inside `allowed`? Layer horizon+1 is all-True (survived), and
+# layer t is F_{t mod 2}(layer t+1):
+#   odd t:  some r' in N[r], allowed, r' != c, has (c, r') in layer t+1
+#   even t: no c' in N[c], cop-allowed, is r or has (c', r) outside layer t+1
+# F depends only on the parity of t, so once layer t equals layer t+2 every
+# lower layer repeats with period 2. The sweep stops at that t0 and returns
+# layers t0..horizon+1 only; layer t < t0 is layers[(t - t0) % 2]. Layer t
+# lies inside layer t+2 (two more rounds to survive), so the layers of each
+# parity only shrink as t falls, and the stop comes a few layers after they
+# reach the robber's winning region, or the empty set on a cop-win graph.
 
 
 def survive_layers(
     adj: np.ndarray, allowed: np.ndarray, horizon: int, cop_allowed: np.ndarray | None = None
 ) -> np.ndarray:
+    """Survival layers t0..horizon+1 as a (horizon + 2 - t0, n, n) bool
+    array, where t0 >= 2 is where the layers start repeating with period 2
+    (t0 = 2 if they never do). Every layer but the last has a false
+    diagonal."""
     adj = np.ascontiguousarray(adj, dtype=np.bool_)
     allowed = np.ascontiguousarray(allowed, dtype=np.bool_)
     if cop_allowed is None:
@@ -120,4 +115,27 @@ def survive_layers(
     cop_allowed = np.ascontiguousarray(cop_allowed, dtype=np.bool_)
     if horizon < 2:
         raise ValueError("survival DP needs horizon >= 2")
-    return _survive_numpy(adj, allowed, cop_allowed, horizon)
+    n = adj.shape[0]
+    eye = np.eye(n, dtype=np.bool_)
+    off = ~eye
+    to = off & allowed  # robber moves (c, r') onto allowed r' != c
+    # float32 for BLAS: sums of 0/1 are exact in float32 below 2^24, and
+    # graph files cap the order at 2^20.
+    A = adj.astype(np.float32)
+    A_cop = (adj & cop_allowed).astype(np.float32)
+    layers = [np.ones((n, n), dtype=np.bool_)]  # layer horizon+1, then downwards
+    counts = [n * n]
+    for t in range(horizon, 1, -1):
+        nxt = layers[-1]
+        if t % 2 == 1:
+            layer = ((nxt & to).astype(np.float32) @ A) > 0  # any r' in N[r]
+        else:
+            bad = eye | ~nxt  # (c', r)
+            layer = (A_cop @ bad.astype(np.float32)) == 0  # no bad c' in N[c]
+        layer &= off
+        layers.append(layer)
+        counts.append(np.count_nonzero(layer))
+        # layer t lies inside layer t+2, so equal counts mean equal layers
+        if len(counts) > 2 and counts[-1] == counts[-3]:
+            break
+    return np.stack(layers[::-1])

@@ -19,6 +19,7 @@ from .engine import (
     evaluate_weak,
     load_transcript,
     play,
+    replay,
     save_transcript,
     transcript_to_text,
 )
@@ -195,7 +196,7 @@ def _cmd_verify(args) -> int:
 
     if args.transcript:
         transcript = load_transcript(args.transcript)
-        _check_transcript_vertices(transcript, graph)
+        replay(graph, transcript.moves, transcript.outcome, transcript.visit_counts)
         # the stage/exponent invariants are chain-pursuit properties
         chain = transcript.stages and transcript.cop_kind == "chain"
         inv = check_pursuit_invariants(transcript) if chain else None
@@ -221,19 +222,6 @@ def _cmd_verify(args) -> int:
                 failures.append("cweak")
 
     return 1 if failures else 0
-
-
-def _check_transcript_vertices(transcript, graph) -> None:
-    n = graph.order
-    for t, player, v in transcript.moves:
-        if not (isinstance(v, int) and 0 <= v < n):
-            raise GraphFormatError(
-                f"transcript round {t}: {player} at vertex {v!r}, not in the {n}-vertex graph"
-            )
-    if len(transcript.visit_counts) != n:
-        raise GraphFormatError(
-            f"transcript has {len(transcript.visit_counts)} visit counts for a {n}-vertex graph"
-        )
 
 
 def _resolve_bound(args, graph):

@@ -179,6 +179,58 @@ def check_pursuit_invariants(T: Transcript) -> CheckResult:
     return CheckResult(True)
 
 
+def replay(G: Graph, moves, outcome: Outcome, visit_counts) -> None:
+    """Replay a transcript's moves on G for legality: rounds 0, 1, 2, ...
+    with the cop first and the players alternating, every vertex in the
+    graph, every move inside the closed neighbourhood of the mover's last
+    vertex, and nothing after a capture. The outcome (kind and round) and
+    the robber's visit counts must be the ones the moves give. Raises
+    GraphFormatError at the first mismatch."""
+    n = G.order
+    at = {}
+    visits = [0] * n
+    captured = None
+    for i, (t, player, v) in enumerate(moves):
+        mover = ("cop", "robber")[i % 2]
+        if (t, player) != (i, mover):
+            raise GraphFormatError(
+                f"transcript move {i} is round {t} {player}, expected round {i} {mover}"
+            )
+        if not (isinstance(v, int) and 0 <= v < n):
+            raise GraphFormatError(
+                f"transcript round {t}: {player} at vertex {v!r}, not in the {n}-vertex graph"
+            )
+        if captured is not None:
+            raise GraphFormatError(
+                f"transcript round {t}: move after the capture at round {captured}"
+            )
+        if player in at and v not in G.neighbors(at[player]):
+            raise GraphFormatError(
+                f"transcript round {t}: {player} moves {at[player]} -> {v}, not an edge"
+            )
+        at[player] = v
+        if player == "robber":
+            visits[v] += 1
+        if at.get("cop") == at.get("robber"):
+            captured = t
+    if len(moves) < 2:
+        raise GraphFormatError("transcript needs the cop's and the robber's placements")
+    expect = {"capture": captured, "horizon": None, "fault": len(moves)}
+    if (
+        outcome.kind not in expect
+        or (outcome.kind == "capture") != (captured is not None)
+        or outcome.round != expect[outcome.kind]
+    ):
+        want = "no capture" if captured is None else f"capture at round {captured}"
+        raise GraphFormatError(
+            f"transcript outcome {outcome.kind} at round {outcome.round}, but the moves give {want}"
+        )
+    if tuple(visit_counts) != tuple(visits):
+        raise GraphFormatError(
+            f"transcript visit counts {list(visit_counts)} differ from the moves' {visits}"
+        )
+
+
 # -- winning-criterion evaluators -------------------------------------------
 
 

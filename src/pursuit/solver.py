@@ -109,26 +109,31 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class SurviveWitness:
-    """Replayable robber policy extracted from the survival DP layers."""
+    """Replayable robber policy extracted from the survival DP layers,
+    which hold layers t0..horizon+1 of the DP (see ``_kernels``)."""
 
     graph: Graph
     layers: np.ndarray
     allowed: np.ndarray
     horizon: int
 
+    def layer(self, t: int) -> np.ndarray:
+        """Survival layer t, for 2 <= t <= horizon + 1; below t0 the layers
+        repeat with period 2."""
+        t0 = self.horizon + 2 - len(self.layers)
+        return self.layers[t - t0 if t >= t0 else (t - t0) % 2]
+
     def choose_start(self, c0: int) -> int | None:
-        n = self.graph.order
-        for r0 in range(n):
-            if r0 != c0 and self.allowed[r0] and self.layers[2, c0, r0]:
-                return r0
-        return None
+        # lowest allowed start; layer 2 has a false diagonal, so r0 != c0
+        safe = np.flatnonzero(self.layer(2)[c0] & self.allowed)
+        return int(safe[0]) if len(safe) else None
 
     def move(self, t: int, c: int, r: int) -> int:
         options = sorted(self.graph.neighbors(r))
         for rp in options:
             if rp == c or not self.allowed[rp]:
                 continue
-            if t + 1 > self.horizon or self.layers[t + 1, c, rp]:
+            if t + 1 > self.horizon or self.layer(t + 1)[c, rp]:
                 return rp
         raise LookupError(f"witness has no surviving move at round {t} from ({c}, {r})")
 
@@ -143,19 +148,14 @@ def _survive_search(
         # Game ends at or before the robber's placement.
         value = horizon < 1 or int(allowed.sum()) >= 2
         return SearchResult(bool(value))
-    states = (horizon + 2) * n * n
-    if budget is not None and states > budget:
+    if budget is not None and (horizon + 2) * n * n > budget:
         return SearchResult(None, explored=0)
     layers = _kernels.survive_layers(G.adjacency_matrix(), allowed, horizon, cop_allowed)
-    ok = True
-    for c0 in range(n):
-        if not cop_allowed[c0]:
-            continue
-        if not any(layers[2, c0, r0] and allowed[r0] and r0 != c0 for r0 in range(n)):
-            ok = False
-            break
-    witness = SurviveWitness(G, layers, allowed, horizon) if ok else None
-    return SearchResult(ok, witness=witness, explored=states)
+    witness = SurviveWitness(G, layers, allowed, horizon)
+    # Every cop start leaves the robber an allowed start in layer 2, whose
+    # diagonal is false.
+    ok = bool((witness.layer(2) & allowed)[cop_allowed].any(axis=1).all())
+    return SearchResult(ok, witness=witness if ok else None, explored=int(layers.size))
 
 
 class _MemoSearch:

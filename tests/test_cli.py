@@ -340,3 +340,97 @@ def test_verify_rejects_bad_retraction_file(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {rmap} ") and err.count("\n") == 1
     assert message in err
+
+
+def _p4_transcript(moves, outcome=("capture", 2), visits=None):
+    if visits is None:
+        visits = [0] * 4
+        for _, player, v in moves:
+            if player == "robber":
+                visits[v] += 1
+    kind, rnd = outcome
+    return {
+        "horizon": 10,
+        "moves": [list(m) for m in moves],
+        "outcome": {"kind": kind, "round": rnd, "detail": ""},
+        "visit_counts": visits,
+    }
+
+
+_P4_CAPTURE = [(0, "cop", 0), (1, "robber", 2), (2, "cop", 1), (3, "robber", 1)]
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_p4_transcript([(0, "cop", 3), (1, "robber", 0), (2, "cop", 0)]),
+     "round 2: cop moves 3 -> 0, not an edge"),
+    (_p4_transcript([(0, "cop", 0), (1, "robber", 3), (2, "cop", 1), (3, "robber", 1)],
+                    ("capture", 3)),
+     "round 3: robber moves 3 -> 1, not an edge"),
+    (_p4_transcript([(0, "cop", 0), (1, "robber", 2), (3, "cop", 1)], ("horizon", None)),
+     "move 2 is round 3 cop, expected round 2 cop"),
+    (_p4_transcript([(0, "cop", 0), (1, "robber", 2), (2, "robber", 3)], ("horizon", None)),
+     "move 2 is round 2 robber, expected round 2 cop"),
+    (_p4_transcript([(0, "robber", 0), (1, "cop", 2)], ("horizon", None)),
+     "move 0 is round 0 robber, expected round 0 cop"),
+    (_p4_transcript(_P4_CAPTURE + [(4, "cop", 2)], ("capture", 3)),
+     "round 4: move after the capture at round 3"),
+    (_p4_transcript(_P4_CAPTURE, ("capture", 2)),
+     "outcome capture at round 2, but the moves give capture at round 3"),
+    (_p4_transcript(_P4_CAPTURE, ("horizon", None)),
+     "outcome horizon at round None, but the moves give capture at round 3"),
+    (_p4_transcript(_P4_CAPTURE[:3], ("capture", 3)),
+     "outcome capture at round 3, but the moves give no capture"),
+    (_p4_transcript(_P4_CAPTURE[:3], ("fault", 5)),
+     "outcome fault at round 5, but the moves give no capture"),
+    (_p4_transcript(_P4_CAPTURE[:3], ("escape", None)),
+     "outcome escape at round None"),
+    (_p4_transcript(_P4_CAPTURE, ("capture", 3), [0, 2, 0, 0]),
+     "visit counts [0, 2, 0, 0] differ from the moves' [0, 1, 1, 0]"),
+    (_p4_transcript(_P4_CAPTURE[:1], ("horizon", None)),
+     "needs the cop's and the robber's placements"),
+], ids=["cop_jump", "robber_jump", "round_gap", "same_player_twice", "robber_first",
+        "after_capture", "capture_round", "capture_hidden", "capture_invented",
+        "fault_round", "unknown_outcome", "visit_counts", "no_placement"])
+def test_verify_replays_transcript_moves(tmp_path, capsys, payload, message):
+    prefix = str(tmp_path / "p4")
+    run("generate", "--family", "path", "--n", "4", "--out", prefix)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    for criterion in ("classic", "weak", "cweak"):
+        capsys.readouterr()
+        assert run("verify", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order",
+                   "--transcript", str(path), "--criterion", criterion) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: transcript ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert "ok" not in captured.out.replace("order: ok\n", "")
+
+
+@pytest.mark.parametrize("family, cop, robber", [
+    ("path", "s_star", "greedy"),
+    ("path", "dismantable", "ray"),
+    ("double_wheel", "recursive", "h_evader"),
+    ("double_wheel", "protective", "stationary"),
+    ("cycle", "optimal", "adversarial"),
+    ("random_constructible", "optimal", "greedy"),
+    ("tree", "s_star", "greedy"),
+    ("path", "optimal", "script"),
+])
+def test_simulated_transcripts_replay(tmp_path, family, cop, robber):
+    from pursuit.engine import load_transcript, replay
+    from pursuit.graphs import load_graph
+
+    prefix = str(tmp_path / "g")
+    run("generate", "--family", family, "--n", "6", "--degree", "2", "--radius", "2",
+        "--seed", "3", "--out", prefix)
+    if robber == "script":
+        script = tmp_path / "moves.txt"
+        script.write_text("5 3\n")  # 5 -> 3 is not an edge: a fault transcript
+        robber = f"script:{script}"
+    order = ["--order", f"{prefix}.order"] if cop in ("s_star", "recursive", "protective") else []
+    tj = str(tmp_path / "game.json")
+    assert run("simulate", "--graph", f"{prefix}.graph", *order, "--cop", cop,
+               "--robber", robber, "--horizon", "40", "--json-out", tj) == 0
+    T = load_transcript(tj)
+    assert (T.outcome.kind == "fault") == robber.startswith("script:")
+    replay(load_graph(f"{prefix}.graph"), T.moves, T.outcome, T.visit_counts)

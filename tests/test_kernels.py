@@ -8,11 +8,13 @@ from pursuit.generators import (
     double_wheel,
     leafless_tree_ball,
     path_graph,
+    petersen_graph,
     random_connected_graph,
     random_constructible,
     wheel_tree,
 )
 from pursuit.graphs import Graph, ball
+from pursuit.solver import SurviveWitness
 
 # -- reference oracles: the kernels as plain-Python loops over states --------
 
@@ -131,8 +133,8 @@ def test_tables_match_loops_on_balls(radius):
 
 
 @st.composite
-def _small_graphs(draw):
-    n = draw(st.integers(1, 10))
+def _small_graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
     parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
     pairs = [(u, v) for v in range(n) for u in range(v)]
     extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
@@ -145,18 +147,67 @@ def test_tables_match_loops_on_hypothesis_graphs(G):
     _assert_tables_match_loops(G)
 
 
+def _assert_survival_matches_loops(G, allowed, cop_allowed, horizon):
+    adj = G.adjacency_matrix()
+    ref = _survive_loops(adj, allowed, cop_allowed, horizon)
+    layers = K.survive_layers(adj, allowed, horizon, cop_allowed)
+    assert layers.dtype == np.bool_ and 2 <= len(layers) <= horizon
+    witness = SurviveWitness(G, layers, allowed, horizon)
+    for t in range(2, horizon + 2):
+        assert np.array_equal(ref[t], witness.layer(t)), t
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_backends_agree_on_survival(seed):
     G = random_connected_graph(2 + seed % 7, 2000 + seed)
-    adj = G.adjacency_matrix()
     allowed = np.ones(G.order, dtype=np.bool_)
     cop_allowed = np.ones(G.order, dtype=np.bool_)
     if G.order > 2:
         allowed[seed % G.order] = False
         cop_allowed[(seed + 1) % G.order] = False
-    a = _survive_loops(adj, allowed, cop_allowed, 11)
-    b = K._survive_numpy(adj, allowed, cop_allowed, 11)
-    assert np.array_equal(a[2:], b[2:])
+    _assert_survival_matches_loops(G, allowed, cop_allowed, 11)
+
+
+def _random_masks(n, seed):
+    rng = np.random.default_rng(seed)
+    allowed = rng.random(n) < 0.8
+    cop_allowed = rng.random(n) < 0.8
+    return allowed, cop_allowed
+
+
+def _long_horizons(n):
+    return sorted({2, 3, n + 1, 2 * n, 4 * n + 5})
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_survival_matches_loops_at_long_horizons(n):
+    for G in (random_connected_graph(n, 4000 + n), random_constructible(n, 4100 + n)[0]):
+        for k, h in enumerate(_long_horizons(n)):
+            full = np.ones(n, dtype=np.bool_)
+            _assert_survival_matches_loops(G, full, full, h)
+            _assert_survival_matches_loops(G, *_random_masks(n, 100 * n + k), h)
+
+
+@pytest.mark.parametrize("name", ["C9", "petersen", "double_wheel"])
+def test_survival_matches_loops_on_named_graphs(name):
+    G = {"C9": lambda: cycle_graph(9), "petersen": petersen_graph,
+         "double_wheel": lambda: double_wheel()[0]}[name]()
+    n = G.order
+    for k, h in enumerate(_long_horizons(n)):
+        full = np.ones(n, dtype=np.bool_)
+        _assert_survival_matches_loops(G, full, full, h)
+        _assert_survival_matches_loops(G, *_random_masks(n, k), h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs(max_n=8), st.data())
+def test_survival_matches_loops_on_hypothesis_graphs(G, data):
+    n = G.order
+    masks = st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda bits: np.array(bits, dtype=np.bool_)
+    )
+    horizon = data.draw(st.integers(2, 4 * n + 5))
+    _assert_survival_matches_loops(G, data.draw(masks), data.draw(masks), horizon)
 
 
 def test_distance_parity():

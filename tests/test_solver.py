@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,91 @@ def test_survive_witness_replays():
             r = w.move(t, c, r)
             assert r != c
         t += 1
+
+
+def _witness_cases():
+    G, _ = double_wheel()
+    hub = G.vertex_by_label("c")
+    outer = [G.vertex_by_label(f"b_{i}") for i in range(5)] + [hub]
+    return {
+        "C5": (cycle_graph(5), 60, [], []),
+        "double_wheel_hub_avoiding": (G, 50, outer, [hub]),
+        "random12": (random_connected_graph(12, 17), 24, [], []),
+    }
+
+
+@pytest.mark.parametrize("name", ["C5", "double_wheel_hub_avoiding", "random12"])
+def test_witness_survives_every_cop_past_the_fixpoint(name):
+    G, h, forbidden, cop_forbidden = _witness_cases()[name]
+    res = adversarial_search(G, h, forbidden=forbidden, cop_forbidden=cop_forbidden)
+    assert res.value is True
+    w = res.witness
+    assert len(w.layers) < h  # the lookup below the fixpoint is exercised
+    bad = set(forbidden)
+
+    def robber_step(t, c, r):
+        rp = w.move(t, c, r)
+        assert rp != c and rp not in bad and rp in G.neighbors(r)
+        return rp
+
+    # Every legal cop reply, branching exhaustively; the witness is
+    # positional, so each (round, cop, robber) state is expanded once.
+    seen = set()
+    frontier = []
+    for c0 in G.vertices():
+        if c0 in cop_forbidden:
+            continue
+        r0 = w.choose_start(c0)
+        assert r0 is not None and r0 != c0 and r0 not in bad
+        frontier.append((2, c0, r0))
+    while frontier:
+        t, c, r = frontier.pop()
+        if t > h or (t, c, r) in seen:
+            continue
+        seen.add((t, c, r))
+        if t % 2 == 0:
+            for cp in G.neighbors(c):
+                if cp not in cop_forbidden:
+                    assert cp != r
+                    frontier.append((t + 1, cp, r))
+        else:
+            frontier.append((t + 1, c, robber_step(t, c, r)))
+    assert max(t for t, _, _ in seen) == h
+
+    # The table cop, where it is one of the cops quantified over.
+    if not cop_forbidden:
+        table = decide_cop_win(G)
+        c = table.best_cop_start()
+        r = w.choose_start(c)
+        for t in range(2, h + 1):
+            if t % 2 == 0:
+                c = table.cop_move(c, r)
+                assert c != r
+            else:
+                r = robber_step(t, c, r)
+
+
+def test_survival_dp_stops_at_the_fixpoint():
+    # Far below the (horizon + 2) n^2 cells of a full sweep; a budget under
+    # that bound still stops the search before it runs.
+    G = random_connected_graph(60, 3)
+    h = 2 * G.order
+    full = (h + 2) * G.order ** 2
+    res = adversarial_search(G, h, budget=None)
+    assert res.value is True
+    assert res.explored == res.witness.layers.size <= full // 10
+    assert adversarial_search(G, h, budget=full - 1).value is None
+
+
+@pytest.mark.parametrize("seed", [1, 29], ids=["robber_win", "dense_cop_win"])
+def test_survival_at_horizon_2n_is_fast(seed):
+    # n = 300 at h = 2n: a sweep over all 602 layers takes seconds.
+    G = random_connected_graph(300, seed)
+    start = time.perf_counter()
+    value = adversarial_search(G, 2 * G.order, budget=None).value
+    elapsed = time.perf_counter() - start
+    assert value == (not decide_cop_win(G).cop_win)
+    assert elapsed < 1.0
 
 
 def test_block_outer_cycle_unrestricted_cop_wins():
