@@ -102,12 +102,17 @@ def game_distance_tables(adj: np.ndarray):
 
 
 def survive_layers(
-    adj: np.ndarray, allowed: np.ndarray, horizon: int, cop_allowed: np.ndarray | None = None
-) -> np.ndarray:
+    adj: np.ndarray,
+    allowed: np.ndarray,
+    horizon: int,
+    cop_allowed: np.ndarray | None = None,
+    budget: int | None = None,
+) -> np.ndarray | None:
     """Survival layers t0..horizon+1 as a (horizon + 2 - t0, n, n) bool
     array, where t0 >= 2 is where the layers start repeating with period 2
     (t0 = 2 if they never do). Every layer but the last has a false
-    diagonal."""
+    diagonal. None if the next layer would take the cells computed past
+    ``budget``; the sweep stops there."""
     adj = np.ascontiguousarray(adj, dtype=np.bool_)
     allowed = np.ascontiguousarray(allowed, dtype=np.bool_)
     if cop_allowed is None:
@@ -116,6 +121,10 @@ def survive_layers(
     if horizon < 2:
         raise ValueError("survival DP needs horizon >= 2")
     n = adj.shape[0]
+    # layers the budget pays for; the sweep makes at most `horizon` of them
+    fits = horizon if budget is None else budget // (n * n)
+    if fits < 1:
+        return None
     eye = np.eye(n, dtype=np.bool_)
     off = ~eye
     to = off & allowed  # robber moves (c, r') onto allowed r' != c
@@ -126,6 +135,8 @@ def survive_layers(
     layers = [np.ones((n, n), dtype=np.bool_)]  # layer horizon+1, then downwards
     counts = [n * n]
     for t in range(horizon, 1, -1):
+        if len(layers) == fits:
+            return None
         nxt = layers[-1]
         if t % 2 == 1:
             layer = ((nxt & to).astype(np.float32) @ A) > 0  # any r' in N[r]

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 
 from . import generators
 from .engine import (
     GameConfig,
+    chain_annotations,
     check_pursuit_invariants,
     evaluate_classic,
     evaluate_cweak,
@@ -23,7 +25,7 @@ from .engine import (
     save_transcript,
     transcript_to_text,
 )
-from .errors import GraphFormatError, PursuitError
+from .errors import CheckResult, GraphFormatError, PursuitError
 from .graphs import Graph, load_graph, save_graph
 from .orders import (
     depth_table,
@@ -198,8 +200,10 @@ def _cmd_verify(args) -> int:
         transcript = load_transcript(args.transcript)
         replay(graph, transcript.moves, transcript.outcome, transcript.visit_counts)
         # the stage/exponent invariants are chain-pursuit properties
-        chain = transcript.stages and transcript.cop_kind == "chain"
-        inv = check_pursuit_invariants(transcript) if chain else None
+        chain = transcript.cop_kind == "chain"
+        inv = _annotation_mismatch(graph, order, transcript) if chain and args.order else None
+        if inv is None and chain and transcript.stages:
+            inv = check_pursuit_invariants(transcript)
         if inv is not None:
             print("pursuit invariants: " + ("ok" if inv else f"FAIL: {inv.detail}"))
             if not inv:
@@ -222,6 +226,20 @@ def _cmd_verify(args) -> int:
                 failures.append("cweak")
 
     return 1 if failures else 0
+
+
+def _annotation_mismatch(graph: Graph, order, transcript):
+    """A failed check at the first round where the transcript's chain
+    annotations differ from the ones its moves give under ``order``; None
+    when they agree."""
+    stages, events = chain_annotations(RetractionFamily(graph, order), transcript.moves)
+    got = zip_longest(transcript.stages, transcript.chain_events)
+    for have, want in zip_longest(got, zip(stages, events)):
+        if have != want:
+            t = next(entry for entry in want or have if entry is not None)[0]
+            detail = f"chain annotations differ from the moves at round {t}"
+            return CheckResult(False, where=t, detail=detail)
+    return None
 
 
 def _resolve_bound(args, graph):

@@ -79,13 +79,8 @@ def play(cfg: GameConfig) -> Transcript:
     if horizon < 2:
         raise ValueError("max_rounds must be at least 2")
 
-    family = getattr(cfg.cop, "family", None)
-    annotate = family is not None and family.flavor == "constructing"
-
     moves = []
     visits = [0] * n
-    stages = []
-    chain_events = []
 
     c = cfg.cop.start(G)
     G._check(c)
@@ -122,13 +117,6 @@ def play(cfg: GameConfig) -> Transcript:
         moves.append((t, mover, m))
         if mover == "cop":
             c = m
-            if annotate:
-                chain = family.chain(r)
-                if c in chain:
-                    k = chain.index(c)
-                    stage = n if k == 0 else family.rank(chain[k - 1])
-                    stages.append((t, stage))
-                    chain_events.append((t, r, k))
         else:
             r = m
             visits[r] += 1
@@ -139,20 +127,47 @@ def play(cfg: GameConfig) -> Transcript:
     if outcome is None:
         outcome = Outcome("horizon")
 
+    family = getattr(cfg.cop, "family", None)
+    stages, chain_events = chain_annotations(family, moves)
     transcript = Transcript(
         tuple(moves),
         outcome,
         tuple(visits),
-        tuple(stages),
-        tuple(chain_events),
+        stages,
+        chain_events,
         horizon,
         getattr(cfg.cop, "kind", ""),
     )
-    if annotate and transcript.cop_kind == "chain" and outcome.kind != "fault":
+    annotated = family is not None and family.flavor == "constructing"
+    if annotated and transcript.cop_kind == "chain" and outcome.kind != "fault":
         check = check_pursuit_invariants(transcript)
         if not check:
             raise EngineInvariantError(check.detail)
     return transcript
+
+
+def chain_annotations(family, moves) -> tuple[tuple, tuple]:
+    """The ``stages`` and ``chain_events`` of a transcript's moves: for each
+    cop move from round 2 on that lands on the robber's dominator chain at
+    index k, the stage (n if k == 0, else the rank of the chain's vertex
+    k - 1) and the event (round, robber vertex, k). Empty unless ``family``
+    is a constructing family."""
+    if family is None or family.flavor != "constructing":
+        return (), ()
+    n = family.graph.order
+    stages = []
+    chain_events = []
+    r = None
+    for t, player, v in moves:
+        if player == "robber":
+            r = v
+        elif t >= 2:
+            chain = family.chain(r)
+            if v in chain:
+                k = chain.index(v)
+                stages.append((t, n if k == 0 else family.rank(chain[k - 1])))
+                chain_events.append((t, r, k))
+    return tuple(stages), tuple(chain_events)
 
 
 def check_pursuit_invariants(T: Transcript) -> CheckResult:

@@ -29,7 +29,7 @@ class Graph:
     every adjacency query treats a vertex as adjacent to itself.
     """
 
-    __slots__ = ("_n", "_adj", "_labels", "_matrix", "_dist")
+    __slots__ = ("_n", "_adj", "_labels", "_matrix", "_dist", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels=None):
         if n <= 0:
@@ -51,6 +51,7 @@ class Graph:
         self._labels = labels
         self._matrix = None
         self._dist = None
+        self._masks = None
 
     @property
     def order(self) -> int:
@@ -149,6 +150,12 @@ class Graph:
                     m[u, v] = True
             self._matrix = m
         return self._matrix
+
+    def closed_masks(self) -> tuple[int, ...]:
+        """Closed neighbourhoods as int bitmasks: bit w of entry v is set iff w is in N[v]."""
+        if self._masks is None:
+            self._masks = tuple(sum(1 << w for w in (v, *s)) for v, s in enumerate(self._adj))
+        return self._masks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -275,11 +282,11 @@ def save_graph(path, graph: Graph) -> None:
 def dominates(G: Graph, u: int, v: int) -> bool:
     """True iff ``u != v``, ``u ~ v``, and every neighbour of ``v`` is
     adjacent to ``u`` (closed neighbourhood containment)."""
-    if u == v:
+    from .orders import dominators_within
+
+    if u == v or not G.adjacent(u, v):
         return False
-    if not G.adjacent(u, v):
-        return False
-    return all(G.adjacent(u, w) for w in G.open_neighbors(v))
+    return bool(dominators_within(G.closed_masks(), (1 << G.order) - 1, int(v)) >> int(u) & 1)
 
 
 class Induced(NamedTuple):

@@ -53,6 +53,19 @@ def _check_permutation(G: Graph, sequence) -> None:
         raise InvalidOrderError("sequence is not a permutation of the vertex set")
 
 
+def dominators_within(masks, region: int, v: int) -> int:
+    """Bitmask of the u != v in ``region`` (a bitmask holding v) whose closed
+    neighbourhood holds N[v] & region: the AND of N[w] over w in N[v] &
+    region, stopped once empty. ``masks`` come from Graph.closed_masks."""
+    found = region & ~(1 << v)
+    rest = masks[v] & region
+    while rest and found:
+        w = rest & -rest
+        found &= masks[w.bit_length() - 1]
+        rest ^= w
+    return found
+
+
 def _greedy_peel(G: Graph):
     """Remove the lowest-id dominated vertex until stuck or one remains.
 
@@ -60,29 +73,20 @@ def _greedy_peel(G: Graph):
     the lowest-id dominator alive at removal time, or None if peeling got
     stuck before reaching a single vertex.
     """
-    alive = set(range(G.order))
-    nbrs = {v: set(G.open_neighbors(v)) for v in alive}
+    alive = (1 << G.order) - 1
     removed = []
     dominator_of = {}
-    while len(alive) > 1:
-        found = None
-        for v in sorted(alive):
-            closed_v = (nbrs[v] & alive) | {v}
-            for u in sorted(nbrs[v] & alive):
-                if closed_v <= (nbrs[u] & alive) | {u}:
-                    found = (v, u)
-                    break
+    while alive & (alive - 1):  # two or more alive
+        for v in range(G.order):
+            found = alive >> v & 1 and dominators_within(G.closed_masks(), alive, v)
             if found:
                 break
-        if found is None:
+        else:
             return None
-        v, u = found
         removed.append(v)
-        dominator_of[v] = u
-        alive.remove(v)
-        for w in nbrs[v]:
-            nbrs[w].discard(v)
-    return removed, dominator_of, alive.pop()
+        dominator_of[v] = (found & -found).bit_length() - 1
+        alive ^= 1 << v
+    return removed, dominator_of, alive.bit_length() - 1
 
 
 def find_dominating_order(G: Graph) -> Order | None:
@@ -108,13 +112,6 @@ def find_dismantling_order(G: Graph) -> Order | None:
     return Order((*removed, survivor), dominator_of, "dismantling")
 
 
-def _dominates_within(G: Graph, region: set, u: int, v: int) -> bool:
-    """Domination of v by u inside the subgraph induced on ``region``."""
-    if u == v or u not in region or not G.adjacent(u, v):
-        return False
-    return all(G.adjacent(u, w) for w in G.open_neighbors(v) if w in region)
-
-
 def _verify(G: Graph, order, suffix: bool, collect: bool):
     if isinstance(order, Order):
         sequence = order.sequence
@@ -123,31 +120,31 @@ def _verify(G: Graph, order, suffix: bool, collect: bool):
         sequence = tuple(order)
         dom = None
     _check_permutation(G, sequence)
+    sequence = [int(v) for v in sequence]  # a shift by a numpy integer wraps
     n = len(sequence)
     ranks = range(0, n - 1) if suffix else range(1, n)
-    region = set(sequence) if suffix else {sequence[0]}
+    region = (1 << n) - 1 if suffix else 1 << sequence[0]
     violations = []
 
     for rank in ranks:
         v = sequence[rank]
         if suffix:
             if rank > 0:
-                region.discard(sequence[rank - 1])
+                region ^= 1 << sequence[rank - 1]
         else:
-            region.add(v)
+            region |= 1 << v
+        found = dominators_within(G.closed_masks(), region, v)
         if dom is not None:
             d = dom.get(v)
             if d is None:
                 violations.append((rank, f"vertex {v} has no dominator"))
-            elif d not in region:
+            elif d not in range(n) or not region >> int(d) & 1:
                 side = "suffix" if suffix else "prefix"
                 violations.append((rank, f"dominator {d} of {v} outside its {side}"))
-            elif not _dominates_within(G, region, d, v):
+            elif not found >> int(d) & 1:
                 violations.append((rank, f"{d} does not dominate {v}"))
-        else:
-            candidates = (u for u in G.open_neighbors(v) if u in region)
-            if not any(_dominates_within(G, region, u, v) for u in candidates):
-                violations.append((rank, f"vertex {v} is undominated"))
+        elif not found:
+            violations.append((rank, f"vertex {v} is undominated"))
         if violations and not collect:
             break
 

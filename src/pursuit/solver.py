@@ -11,7 +11,7 @@ import numpy as np
 from . import _kernels
 from .errors import ProtectiveContradictionError
 from .graphs import Graph
-from .orders import Order, verify_dominating_order
+from .orders import Order, dominators_within, verify_dominating_order
 
 _INF = float("inf")
 
@@ -148,9 +148,10 @@ def _survive_search(
         # Game ends at or before the robber's placement.
         value = horizon < 1 or int(allowed.sum()) >= 2
         return SearchResult(bool(value))
-    if budget is not None and (horizon + 2) * n * n > budget:
-        return SearchResult(None, explored=0)
-    layers = _kernels.survive_layers(G.adjacency_matrix(), allowed, horizon, cop_allowed)
+    layers = _kernels.survive_layers(G.adjacency_matrix(), allowed, horizon, cop_allowed, budget)
+    if layers is None:
+        # the sweep stopped after the whole layers the budget pays for
+        return SearchResult(None, explored=budget // (n * n) * n * n)
     witness = SurviveWitness(G, layers, allowed, horizon)
     # Every cop start leaves the robber an allowed start in layer 2, whose
     # diagonal is false.
@@ -402,20 +403,16 @@ def order_from_protective(G: Graph, profile: TimingProfile) -> Order:
                 f"vertex {v} robbed at round {tr}, at or after cop arrival {tc}"
             )
     sequence = tuple(sorted(range(n), key=lambda v: (profile.rob_latest[v], v)))
-    region = {sequence[0]}
+    region = 1 << sequence[0]
     dominator = {}
     for v in sequence[1:]:
-        region.add(v)
-        for u in sorted(region):
-            if u != v and G.adjacent(u, v) and all(
-                G.adjacent(u, w) for w in G.open_neighbors(v) if w in region
-            ):
-                dominator[v] = u
-                break
-        else:
+        region |= 1 << v
+        found = dominators_within(G.closed_masks(), region, v)
+        if not found:
             raise ProtectiveContradictionError(
                 f"vertex {v} undominated in its recovered prefix"
             )
+        dominator[v] = (found & -found).bit_length() - 1
     order = Order(sequence, dominator, "constructing")
     check = verify_dominating_order(G, order)
     if not check:

@@ -434,3 +434,59 @@ def test_simulated_transcripts_replay(tmp_path, family, cop, robber):
     T = load_transcript(tj)
     assert (T.outcome.kind == "fault") == robber.startswith("script:")
     replay(load_graph(f"{prefix}.graph"), T.moves, T.outcome, T.visit_counts)
+
+
+def test_verify_recomputes_chain_annotations(tmp_path, capsys):
+    # The cop sits on 0 while the robber sits on the terminal vertex 4, so
+    # the moves give no chain annotation; the file invents three stages.
+    prefix = str(tmp_path / "p5")
+    run("generate", "--family", "path", "--n", "5", "--out", prefix)
+    moves = [[0, "cop", 0], [1, "robber", 4], [2, "cop", 0], [3, "robber", 4],
+             [4, "cop", 0], [5, "robber", 4], [6, "cop", 0]]
+    payload = {
+        "horizon": 6, "cop_kind": "chain", "moves": moves,
+        "outcome": {"kind": "horizon", "round": None, "detail": ""},
+        "visit_counts": [0, 0, 0, 0, 3],
+        "stages": [[2, 5], [4, 5], [6, 5]], "chain_events": [],
+    }
+    path = tmp_path / "made_up.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run("verify", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order",
+               "--transcript", str(path)) == 1
+    assert capsys.readouterr().out == (
+        "order: ok\npursuit invariants: FAIL: chain annotations differ from the moves at round 2\n"
+    )
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda p: None, None),
+    (lambda p: p["stages"][1].__setitem__(1, p["stages"][1][1] + 1), 1),
+    (lambda p: p["chain_events"].pop(), -1),
+    (lambda p: p["stages"].append([99, 0]), "99"),
+    (lambda p: p.update(stages=[], chain_events=[]), 0),
+], ids=["genuine", "stage_changed", "event_dropped", "stage_added", "annotations_removed"])
+def test_verify_reports_first_differing_annotation(tmp_path, capsys, edit, where):
+    prefix = str(tmp_path / "wheel")
+    run("generate", "--family", "double_wheel", "--out", prefix)
+    tj = tmp_path / "game.json"
+    assert run("simulate", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order",
+               "--cop", "s_star", "--robber", "greedy", "--horizon", "500",
+               "--json-out", str(tj)) == 0
+    payload = json.loads(tj.read_text())
+    assert len(payload["stages"]) >= 3
+    rounds = [t for t, _ in payload["stages"]]
+    edit(payload)
+    tj.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run("verify", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order",
+               "--transcript", str(tj))
+    line = capsys.readouterr().out.splitlines()[1]
+    if where is None:
+        assert (code, line) == (0, "pursuit invariants: ok")
+    else:
+        t = where if isinstance(where, str) else rounds[where]
+        assert code == 1
+        assert line == (
+            f"pursuit invariants: FAIL: chain annotations differ from the moves at round {t}"
+        )

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -60,6 +61,17 @@ def test_dominates_on_induced_pair():
 
 def test_dominates_never_reflexive():
     assert not dominates(path_graph(2), 0, 0)
+
+
+def test_dominates_rejects_unknown_vertices():
+    G = path_graph(70)
+    assert not dominates(G, 99, 99)  # u == v is decided before the vertex check
+    for u, v in ((0, 70), (70, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="unknown vertex"):
+            dominates(G, u, v)
+    # numpy integers name the same vertices, past the 64-bit range of a shift
+    assert dominates(G, np.int64(68), np.int64(69))
+    assert not dominates(G, np.int64(69), np.int64(68))
 
 
 def test_induced_identity_and_isolated():

@@ -1,15 +1,22 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pursuit import (
+    Graph,
     Order,
     GraphFormatError,
     InvalidOrderError,
+    ProtectiveContradictionError,
     decide_cop_win,
     depth_table,
+    dominates,
     find_dismantling_order,
     find_dominating_order,
     naturalize_order,
+    order_from_protective,
     verify_dismantling_order,
     verify_dominating_order,
 )
@@ -20,14 +27,14 @@ from pursuit.generators import (
     hubbed_path,
     path_graph,
     random_connected_graph,
+    random_constructible,
     star_graph,
 )
-from pursuit.orders import order_from_text, order_to_text
+from pursuit.orders import _greedy_peel, dominators_within, order_from_text, order_to_text
+from pursuit.solver import TimingProfile
 
 
 def test_single_vertex_order():
-    from pursuit import Graph
-
     order = find_dominating_order(Graph(1))
     assert order.sequence == (0,) and order.dominator == {}
 
@@ -168,3 +175,250 @@ def test_bad_order_files_rejected(text):
     for flavor in ("auto", "constructing", "dismantling"):
         with pytest.raises(GraphFormatError):
             order_from_text(text, flavor=flavor)
+
+
+# -- differential tests of the bitmask domination test -----------------------
+#
+# The set-based peel, verifier and order-recovery loop that the bitmask
+# test replaced, kept as reference oracles.
+
+
+def _ref_peel(G):
+    alive = set(range(G.order))
+    nbrs = {v: set(G.open_neighbors(v)) for v in alive}
+    removed = []
+    dominator_of = {}
+    while len(alive) > 1:
+        found = None
+        for v in sorted(alive):
+            closed_v = (nbrs[v] & alive) | {v}
+            for u in sorted(nbrs[v] & alive):
+                if closed_v <= (nbrs[u] & alive) | {u}:
+                    found = (v, u)
+                    break
+            if found:
+                break
+        if found is None:
+            return None
+        v, u = found
+        removed.append(v)
+        dominator_of[v] = u
+        alive.remove(v)
+        for w in nbrs[v]:
+            nbrs[w].discard(v)
+    return removed, dominator_of, alive.pop()
+
+
+def _ref_dominates_within(G, region, u, v):
+    if u == v or u not in region or not G.adjacent(u, v):
+        return False
+    return all(G.adjacent(u, w) for w in G.open_neighbors(v) if w in region)
+
+
+def _ref_verify(G, sequence, dom, suffix, collect):
+    n = len(sequence)
+    ranks = range(0, n - 1) if suffix else range(1, n)
+    region = set(sequence) if suffix else {sequence[0]}
+    violations = []
+    for rank in ranks:
+        v = sequence[rank]
+        if suffix:
+            if rank > 0:
+                region.discard(sequence[rank - 1])
+        else:
+            region.add(v)
+        if dom is not None:
+            d = dom.get(v)
+            if d is None:
+                violations.append((rank, f"vertex {v} has no dominator"))
+            elif d not in region:
+                side = "suffix" if suffix else "prefix"
+                violations.append((rank, f"dominator {d} of {v} outside its {side}"))
+            elif not _ref_dominates_within(G, region, d, v):
+                violations.append((rank, f"{d} does not dominate {v}"))
+        else:
+            candidates = (u for u in G.open_neighbors(v) if u in region)
+            if not any(_ref_dominates_within(G, region, u, v) for u in candidates):
+                violations.append((rank, f"vertex {v} is undominated"))
+        if violations and not collect:
+            break
+    if not violations:
+        return (True, None, "")
+    rank, why = violations[0]
+    detail = why if not collect else "; ".join(f"rank {r}: {w}" for r, w in violations)
+    return (False, rank, detail)
+
+
+def _ref_recovered_dominators(G, sequence):
+    region = {sequence[0]}
+    dominator = {}
+    for v in sequence[1:]:
+        region.add(v)
+        for u in sorted(region):
+            if u != v and G.adjacent(u, v) and all(
+                G.adjacent(u, w) for w in G.open_neighbors(v) if w in region
+            ):
+                dominator[v] = u
+                break
+        else:
+            return f"vertex {v} undominated in its recovered prefix"
+    return dominator
+
+
+def _ref_dominates(G, u, v):
+    if u == v:
+        return False
+    if not G.adjacent(u, v):
+        return False
+    return all(G.adjacent(u, w) for w in G.open_neighbors(v))
+
+
+def _assert_verify_matches(G, sequence, dom):
+    for suffix, verify in ((False, verify_dominating_order), (True, verify_dismantling_order)):
+        flavor = "dismantling" if suffix else "constructing"
+        for collect in (False, True):
+            for order, ref_dom in ((Order(sequence, dom, flavor), dom), (sequence, None)):
+                got = verify(G, order, collect=collect)
+                want = _ref_verify(G, tuple(sequence), ref_dom, suffix, collect)
+                assert (got.ok, got.where, got.detail) == want, (sequence, dom, flavor, collect)
+
+
+def _assert_recovery_matches(G, rob_latest):
+    # A profile whose cop arrives one round after the robber leaves, so the
+    # protective requirements hold and only the dominator search decides.
+    n = G.order
+    profile = TimingProfile(tuple(rob_latest), tuple(t + 1 for t in rob_latest), 2 * n + 2)
+    sequence = tuple(sorted(range(n), key=lambda v: (rob_latest[v], v)))
+    want = _ref_recovered_dominators(G, sequence)
+    if isinstance(want, str):
+        with pytest.raises(ProtectiveContradictionError) as err:
+            order_from_protective(G, profile)
+        assert str(err.value) == want
+        return
+    try:
+        order = order_from_protective(G, profile)
+    except ProtectiveContradictionError as err:
+        # the dominators agree; the recovered order then fails verification
+        assert str(err).startswith("recovered order fails at rank ")
+        check = _ref_verify(G, sequence, want, False, False)
+        assert str(err) == f"recovered order fails at rank {check[1]}: {check[2]}"
+    else:
+        assert (order.sequence, order.dominator) == (sequence, want)
+
+
+def _assert_domination_matches(G, rng, orders=3):
+    n = G.order
+    assert _greedy_peel(G) == _ref_peel(G)
+    for _ in range(orders):
+        sequence = list(range(n))
+        rng.shuffle(sequence)
+        # dominator maps that name vertices outside 0..n-1, or none at all
+        dom = {v: rng.choice((rng.randrange(-2, n + 2), rng.randrange(n)))
+               for v in sequence if rng.random() < 0.9}
+        _assert_verify_matches(G, sequence, dom)
+        _assert_recovery_matches(G, [rng.randrange(-1, n) for _ in range(n)])
+    peeled = _ref_peel(G)
+    if peeled is not None:
+        removed, dominator_of, survivor = peeled
+        _assert_verify_matches(G, [survivor, *reversed(removed)], dominator_of)
+        _assert_verify_matches(G, [*removed, survivor], dominator_of)
+        _assert_recovery_matches(G, [0] * n)
+
+
+@st.composite
+def _graphs(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    dense = draw(st.booleans())  # complement the draw for dense graphs
+    return Graph(n, [p for p, k in zip(pairs, keep) if k != dense])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs(), st.randoms(use_true_random=False))
+def test_bitmask_domination_matches_sets_on_hypothesis_graphs(G, rng):
+    _assert_domination_matches(G, rng)
+    n = G.order
+    got = [[dominates(G, u, v) for v in range(n)] for u in range(n)]
+    assert got == [[_ref_dominates(G, u, v) for v in range(n)] for u in range(n)]
+
+
+def _dense_seed(n, lo):
+    """Lowest seed whose ``random_connected_graph(n, seed)`` draws edge
+    density p >= lo (it draws n - 1 tree parents, then p)."""
+    for seed in range(100_000):
+        rng = random.Random(seed)
+        for v in range(1, n):
+            rng.randrange(v)
+        if rng.random() >= lo:
+            return seed
+
+
+def _relabelled(G, rng):
+    perm = list(range(G.order))
+    rng.shuffle(perm)
+    return Graph(G.order, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+@pytest.mark.parametrize("n, kind, seed", [
+    (20, "random", 0), (60, "random", 1), (120, "random", 2), (200, "random", 3),
+    (120, "random", "dense"), (200, "random", "dense"),
+    (30, "constructible", 0), (90, "constructible", 1), (200, "constructible", 2),
+    (120, "cocktail", 0),
+])
+def test_bitmask_domination_matches_sets_on_seeded_graphs(n, kind, seed):
+    rng = random.Random(f"{n}-{kind}-{seed}")
+    if kind == "random":
+        seed = _dense_seed(n, 0.99) if seed == "dense" else seed
+        graphs = [random_connected_graph(n, seed)]
+    elif kind == "cocktail":
+        # K_n minus a perfect matching: density above 0.99, and no vertex
+        # is dominated, so the peel is stuck at once
+        G = Graph(n, [(u, v) for v in range(n) for u in range(v) if v - u != n // 2])
+        graphs = [_relabelled(G, rng)]
+    else:
+        G, _ = random_constructible(n, seed)
+        graphs = [G, _relabelled(G, rng)]
+    for G in graphs:
+        _assert_domination_matches(G, rng, orders=1)
+
+
+def test_dense_seeds_are_dense():
+    for n in (120, 200):
+        G = random_connected_graph(n, _dense_seed(n, 0.99))
+        assert G.edge_count() >= 0.98 * n * (n - 1) / 2
+
+
+@pytest.mark.parametrize("d", [-1, -5, 4, 99, "x"])
+def test_dominator_outside_the_graph_is_outside_its_prefix(d):
+    G = path_graph(4)
+    for flavor, verify, side in (("constructing", verify_dominating_order, "prefix"),
+                                 ("dismantling", verify_dismantling_order, "suffix")):
+        dom = {0: 1, 1: 2, 2: 3, 3: 2}
+        dom[1] = d
+        res = verify(G, Order((0, 1, 2, 3), dom, flavor))
+        assert not res and res.where == 1
+        assert res.detail == f"dominator {d} of 1 outside its {side}"
+
+
+def test_dominators_within_respects_region_and_excludes_v():
+    G = path_graph(4)
+    masks = G.closed_masks()
+    assert masks == (0b0011, 0b0111, 0b1110, 0b1100)
+    everything = 0b1111
+    assert dominators_within(masks, everything, 0) == 0b0010
+    assert dominators_within(masks, everything, 1) == 0
+    # inside {1, 2, 3}, vertex 1 is a leaf under 2; vertex 0 is not a candidate
+    assert dominators_within(masks, 0b1110, 1) == 0b0100
+    assert dominators_within(masks, 0b0010, 1) == 0
+
+
+def test_numpy_integer_sequences_verify_like_ints():
+    G = path_graph(70)
+    for seq in (np.arange(70), np.arange(70)[::-1], np.array([69, *range(69)])):
+        for verify in (verify_dominating_order, verify_dismantling_order):
+            for collect in (False, True):
+                got = verify(G, seq, collect=collect)
+                want = verify(G, [int(v) for v in seq], collect=collect)
+                assert (got.ok, got.where, got.detail) == (want.ok, want.where, want.detail)
+    assert verify_dominating_order(G, np.arange(70))

@@ -171,15 +171,31 @@ def test_witness_survives_every_cop_past_the_fixpoint(name):
 
 
 def test_survival_dp_stops_at_the_fixpoint():
-    # Far below the (horizon + 2) n^2 cells of a full sweep; a budget under
-    # that bound still stops the search before it runs.
+    # Far below the (horizon + 2) n^2 cells of a full sweep, and the budget
+    # pays only for the cells computed: any budget below them is
+    # inconclusive, any budget at or above them gives the unbudgeted value.
     G = random_connected_graph(60, 3)
     h = 2 * G.order
     full = (h + 2) * G.order ** 2
     res = adversarial_search(G, h, budget=None)
     assert res.value is True
     assert res.explored == res.witness.layers.size <= full // 10
-    assert adversarial_search(G, h, budget=full - 1).value is None
+    layer = G.order ** 2
+    for budget in (0, layer - 1, layer, res.explored - layer, res.explored - 1):
+        cut = adversarial_search(G, h, budget=budget)
+        assert cut.value is None and cut.explored == budget // layer * layer <= budget
+    for budget in (res.explored, res.explored + layer, full - 1, full):
+        again = adversarial_search(G, h, budget=budget)
+        assert again.value is True and again.explored == res.explored
+
+
+def test_default_budget_decides_large_horizons():
+    # The default budget used to be charged the full sweep up front, so
+    # this call gave None without computing a layer.
+    G = random_connected_graph(300, 1)
+    res = adversarial_search(G, 2 * G.order)
+    assert res.value is True
+    assert res.explored == adversarial_search(G, 2 * G.order, budget=None).explored
 
 
 @pytest.mark.parametrize("seed", [1, 29], ids=["robber_win", "dense_cop_win"])
