@@ -52,9 +52,6 @@ from .strategies import (
     TableRobber,
 )
 
-COP_KINDS = ("s_star", "recursive", "protective", "dismantable", "optimal")
-ROBBER_KINDS = ("stationary", "greedy", "ray", "h_evader", "adversarial")
-
 
 def _build_cop(kind: str, graph: Graph, order):
     if kind == "optimal":
@@ -172,10 +169,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph = load_graph(args.graph)
+    order = load_order(args.order) if args.order else None
     failures = []
 
-    if args.order:
-        order = load_order(args.order)
+    if order is not None:
         if order.flavor == "dismantling":
             res = verify_dismantling_order(graph, order)
         else:
@@ -199,11 +196,13 @@ def _cmd_verify(args) -> int:
     if args.transcript:
         transcript = load_transcript(args.transcript)
         replay(graph, transcript.moves, transcript.outcome, transcript.visit_counts)
-        # the stage/exponent invariants are chain-pursuit properties
-        chain = transcript.cop_kind == "chain"
-        inv = _annotation_mismatch(graph, order, transcript) if chain and args.order else None
-        if inv is None and chain and transcript.stages:
-            inv = check_pursuit_invariants(transcript)
+        # the stage/exponent invariants are chain-pursuit properties, and
+        # only an order can tell the annotations from made-up ones
+        inv = None
+        if transcript.cop_kind == "chain" and order is not None:
+            inv = _annotation_mismatch(order, transcript)
+            if inv is None and transcript.stages:
+                inv = check_pursuit_invariants(transcript)
         if inv is not None:
             print("pursuit invariants: " + ("ok" if inv else f"FAIL: {inv.detail}"))
             if not inv:
@@ -214,7 +213,7 @@ def _cmd_verify(args) -> int:
             if not ok:
                 failures.append("classic")
         elif args.criterion == "weak":
-            bound = _resolve_bound(args, graph)
+            bound = _resolve_bound(args, graph, order)
             res = evaluate_weak(transcript, bound)
             print("weak: " + ("ok" if res else f"FAIL: {res.detail}"))
             if not res:
@@ -228,11 +227,11 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _annotation_mismatch(graph: Graph, order, transcript):
+def _annotation_mismatch(order, transcript):
     """A failed check at the first round where the transcript's chain
     annotations differ from the ones its moves give under ``order``; None
     when they agree."""
-    stages, events = chain_annotations(RetractionFamily(graph, order), transcript.moves)
+    stages, events = chain_annotations(order, transcript.moves)
     got = zip_longest(transcript.stages, transcript.chain_events)
     for have, want in zip_longest(got, zip(stages, events)):
         if have != want:
@@ -242,11 +241,10 @@ def _annotation_mismatch(graph: Graph, order, transcript):
     return None
 
 
-def _resolve_bound(args, graph):
+def _resolve_bound(args, graph, order):
     if args.bound == "default":
-        if not args.order:
+        if order is None:
             raise PursuitError("--bound default needs --order to derive depths")
-        order = load_order(args.order)
         depths = depth_table(order, strict=False)
         return [(d if d is not None else graph.order) + 1 for d in depths]
     try:

@@ -21,6 +21,7 @@ from .errors import (
     TranscriptFaultError,
 )
 from .graphs import Graph
+from .orders import depth_table
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,13 @@ class GameConfig:
     cop: object
     robber: object
     max_rounds: int | None = None
-    robber_start: int | None = None
 
 
 def default_horizon(G: Graph, cop) -> int:
     family = getattr(cop, "family", None)
-    depth = G.order if family is None else max(family.max_depth(), 1)
+    depth = G.order
+    if family is not None:
+        depth = max([1] + [d for d in depth_table(family.order, strict=False) if d is not None])
     return 10 * G.order * depth
 
 
@@ -86,12 +88,8 @@ def play(cfg: GameConfig) -> Transcript:
     G._check(c)
     moves.append((0, "cop", c))
 
-    if cfg.robber_start is not None:
-        r = cfg.robber_start
-        G._check(r)
-    else:
-        r = cfg.robber.start(G, c)
-        G._check(r)
+    r = cfg.robber.start(G, c)
+    G._check(r)
     moves.append((1, "robber", r))
     visits[r] += 1
 
@@ -128,7 +126,7 @@ def play(cfg: GameConfig) -> Transcript:
         outcome = Outcome("horizon")
 
     family = getattr(cfg.cop, "family", None)
-    stages, chain_events = chain_annotations(family, moves)
+    stages, chain_events = chain_annotations(None if family is None else family.order, moves)
     transcript = Transcript(
         tuple(moves),
         outcome,
@@ -146,15 +144,15 @@ def play(cfg: GameConfig) -> Transcript:
     return transcript
 
 
-def chain_annotations(family, moves) -> tuple[tuple, tuple]:
+def chain_annotations(order, moves) -> tuple[tuple, tuple]:
     """The ``stages`` and ``chain_events`` of a transcript's moves: for each
     cop move from round 2 on that lands on the robber's dominator chain at
     index k, the stage (n if k == 0, else the rank of the chain's vertex
-    k - 1) and the event (round, robber vertex, k). Empty unless ``family``
-    is a constructing family."""
-    if family is None or family.flavor != "constructing":
+    k - 1) and the event (round, robber vertex, k). Empty unless ``order``
+    is a constructing order."""
+    if order is None or order.flavor != "constructing":
         return (), ()
-    n = family.graph.order
+    n = len(order)
     stages = []
     chain_events = []
     r = None
@@ -162,10 +160,10 @@ def chain_annotations(family, moves) -> tuple[tuple, tuple]:
         if player == "robber":
             r = v
         elif t >= 2:
-            chain = family.chain(r)
+            chain = order.chain(r)
             if v in chain:
                 k = chain.index(v)
-                stages.append((t, n if k == 0 else family.rank(chain[k - 1])))
+                stages.append((t, n if k == 0 else order.rank_of(chain[k - 1])))
                 chain_events.append((t, r, k))
     return tuple(stages), tuple(chain_events)
 
@@ -371,23 +369,45 @@ def transcript_to_json(T: Transcript) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _ints(xs) -> bool:
+    return all(isinstance(x, int) and not isinstance(x, bool) for x in xs)
+
+
+def _rows(rows, what: str, width: int, ok=_ints) -> tuple:
+    """``rows`` as tuples of ``width`` entries that pass ``ok``."""
+    out = tuple(tuple(row) for row in rows)
+    for i, row in enumerate(out):
+        if len(row) != width or not ok(row):
+            raise TypeError(f"{what} entry {i} has the wrong length or types")
+    return out
+
+
 def transcript_from_json(text: str) -> Transcript:
+    """Parse :func:`transcript_to_json` output; every field must have the
+    type that function writes."""
     try:
         payload = json.loads(text)
+        outcome = payload["outcome"]
+        kind, round_, detail = outcome["kind"], outcome["round"], outcome.get("detail", "")
+        horizon, cop_kind = payload.get("horizon", 0), payload.get("cop_kind", "")
+        visit_counts = tuple(payload["visit_counts"])
+        if not (
+            all(isinstance(x, str) for x in (kind, detail, cop_kind))
+            and _ints([horizon, *visit_counts]) and (round_ is None or _ints([round_]))
+        ):
+            raise TypeError("kind, detail and cop_kind must be strings; round, horizon "
+                            "and visit_counts ints")
         return Transcript(
-            moves=tuple((t, p, v) for t, p, v in payload["moves"]),
-            outcome=Outcome(
-                payload["outcome"]["kind"],
-                payload["outcome"]["round"],
-                payload["outcome"].get("detail", ""),
-            ),
-            visit_counts=tuple(payload["visit_counts"]),
-            stages=tuple((t, s) for t, s in payload.get("stages", [])),
-            chain_events=tuple((t, v, k) for t, v, k in payload.get("chain_events", [])),
-            horizon=payload.get("horizon", 0),
-            cop_kind=payload.get("cop_kind", ""),
+            moves=_rows(payload["moves"], "moves", 3,
+                        lambda m: _ints(m[::2]) and m[1] in ("cop", "robber")),
+            outcome=Outcome(kind, round_, detail),
+            visit_counts=visit_counts,
+            stages=_rows(payload.get("stages", []), "stages", 2),
+            chain_events=_rows(payload.get("chain_events", []), "chain_events", 3),
+            horizon=horizon,
+            cop_kind=cop_kind,
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, RecursionError) as err:
         raise GraphFormatError(f"bad transcript file: {err}")
 
 

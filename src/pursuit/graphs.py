@@ -105,15 +105,7 @@ class Graph:
         return sum(len(s) for s in self._adj) // 2
 
     def is_connected(self) -> bool:
-        seen = {0}
-        todo = deque([0])
-        while todo:
-            u = todo.popleft()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-        return len(seen) == self._n
+        return -1 not in self.distances_from(0)
 
     def distances_from(self, source: int) -> list[int]:
         """BFS distances; unreachable vertices get -1."""

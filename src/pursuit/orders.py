@@ -31,15 +31,40 @@ class Order:
     dominator: dict[int, int]
     flavor: str
     _rank: dict = field(init=False, repr=False, compare=False)
+    _chains: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flavor not in ("constructing", "dismantling"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
         object.__setattr__(self, "sequence", tuple(self.sequence))
         object.__setattr__(self, "_rank", {v: i for i, v in enumerate(self.sequence)})
+        object.__setattr__(self, "_chains", {})
 
     def rank_of(self, v: int) -> int:
         return self._rank[v]
+
+    def chain(self, v: int) -> tuple[int, ...]:
+        """v, dominator(v), dominator^2(v), ... up to the first vertex
+        without a recorded dominator; the walk does not stop at the
+        terminal. Raises InvalidOrderError on a cycle or on a chain longer
+        than the order."""
+        cached = self._chains.get(v)
+        if cached is not None:
+            return cached
+        out = [v]
+        seen = {v}
+        for _ in range(len(self.sequence)):
+            nxt = self.dominator.get(out[-1])
+            if nxt is None:
+                break
+            if nxt in seen:
+                raise InvalidOrderError(f"dominator cycle through vertex {nxt}")
+            out.append(nxt)
+            seen.add(nxt)
+        else:
+            raise InvalidOrderError("dominator chain exceeds the graph order")
+        self._chains[v] = chain = tuple(out)
+        return chain
 
     def __len__(self) -> int:
         return len(self.sequence)
@@ -167,34 +192,18 @@ def verify_dismantling_order(G: Graph, order, collect: bool = False) -> CheckRes
 
 
 def depth_table(order: Order, strict: bool = True) -> tuple:
-    """Chain length from each vertex to the order's terminal vertex.
+    """Chain length from each vertex to the order's terminal vertex: its
+    index in :meth:`Order.chain`, or ``None`` when the chain misses it.
 
     Vertex-indexed. With ``strict=False`` stuck chains yield ``None``
     instead of raising (truncated orders have such sinks).
     """
     terminal = order.terminal()
-    depth: dict[int, int | None] = {terminal: 0}
-
-    def chase(v):
-        trail = []
-        cur = v
-        while cur not in depth:
-            if cur in trail:
-                raise InvalidOrderError(f"dominator cycle through vertex {cur}")
-            trail.append(cur)
-            nxt = order.dominator.get(cur)
-            if nxt is None:
-                for w in trail:
-                    depth[w] = None
-                return
-            cur = nxt
-        base = depth[cur]
-        for i, w in enumerate(reversed(trail), start=1):
-            depth[w] = None if base is None else base + i
-
+    depth = {}
     for v in order.sequence:
-        chase(v)
-    if strict and any(depth[v] is None for v in order.sequence):
+        chain = order.chain(v)
+        depth[v] = chain.index(terminal) if terminal in chain else None
+    if strict and None in depth.values():
         stuck = [v for v in order.sequence if depth[v] is None]
         raise InvalidOrderError(f"dominator chain stuck at vertices {stuck}")
     return tuple(depth[v] for v in range(len(order.sequence)))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CheckResult, InvalidOrderError, NontotalRetractionError
 from .graphs import Graph
-from .orders import Order, depth_table
+from .orders import Order
 
 
 class RetractionFamily:
@@ -34,36 +34,6 @@ class RetractionFamily:
         self.graph = graph
         self.order = order
         self.flavor = order.flavor
-        self._chains: dict[int, tuple[int, ...]] = {}
-
-    def rank(self, v: int) -> int:
-        return self.order.rank_of(v)
-
-    def dominator(self, v: int):
-        return self.order.dominator.get(v)
-
-    def chain(self, v: int) -> tuple[int, ...]:
-        """v, dominator(v), dominator^2(v), ... up to the terminal vertex
-        or the first vertex without a recorded dominator."""
-        cached = self._chains.get(v)
-        if cached is not None:
-            return cached
-        out = [v]
-        for _ in range(self.graph.order):
-            nxt = self.order.dominator.get(out[-1])
-            if nxt is None:
-                break
-            if nxt in out:
-                raise InvalidOrderError(f"dominator cycle through vertex {nxt}")
-            out.append(nxt)
-        else:
-            raise InvalidOrderError("dominator chain exceeds the graph order")
-        self._chains[v] = chain = tuple(out)
-        return chain
-
-    def max_depth(self) -> int:
-        finite = [d for d in depth_table(self.order, strict=False) if d is not None]
-        return max(finite) if finite else 0
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -76,7 +46,7 @@ class RetractionFamily:
         columns = [[-1] * (n + 1) for _ in range(n)]
         for v, col in enumerate(columns):
             try:
-                chain = self.chain(v)
+                chain = self.order.chain(v)
             except InvalidOrderError:
                 continue  # a broken chain fails only the queries at v
             low = n
@@ -107,15 +77,15 @@ class RetractionFamily:
         w = self.table.item(k, v) if 0 <= v < self.graph.order else -1
         if w >= 0:
             return w
-        for u in self.chain(v):  # re-raises a broken chain's error
-            self.rank(u)  # KeyError for a vertex outside the graph
+        for u in self.order.chain(v):  # re-raises a broken chain's error
+            self.order.rank_of(u)  # KeyError for a vertex outside the graph
         if self.flavor == "dismantling":
             raise NontotalRetractionError(k, v)
         raise InvalidOrderError(f"chain of {v} never drops below rank {k}: broken order")
 
     def exponent(self, cutoff: int, v: int) -> int:
         """Number of dominator steps taken by ``retract(cutoff, v)``."""
-        return self.chain(v).index(self.retract(cutoff, v))
+        return self.order.chain(v).index(self.retract(cutoff, v))
 
     def max_total_cutoff(self) -> int:
         """Largest cutoff at which the dismantling projection is total.
@@ -126,7 +96,8 @@ class RetractionFamily:
         n = self.graph.order
         if self.flavor == "constructing":
             return n
-        return min(max(self.rank(w) for w in self.chain(v)) for v in range(n))
+        rank, chain = self.order.rank_of, self.order.chain
+        return min(max(rank(w) for w in chain(v)) for v in range(n))
 
 
 def check_retraction(G: Graph, mapping, fixed) -> CheckResult:
@@ -169,7 +140,7 @@ def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> 
             family.retract(cutoff, v)  # raises the error behind the -1
         except NontotalRetractionError as err:
             return CheckResult(False, where=(cutoff, err.vertex), detail=str(err))
-    ranks = np.array([family.rank(v) for v in G.vertices()])
+    ranks = np.array([family.order.rank_of(v) for v in G.vertices()])
     in_target = ranks < cutoff if family.flavor == "constructing" else ranks >= cutoff
     if (v := _first(~in_target[image])) is not None:
         return CheckResult(False, where=v, detail=f"image of {v} misses the target region")

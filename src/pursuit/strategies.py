@@ -32,7 +32,7 @@ def chain_pursuit_move(family: RetractionFamily, c: int, r: int, when_stuck: str
     (e.g. dismantling families) so their failure mode stays observable.
     """
     G = family.graph
-    for v in family.chain(r):
+    for v in family.order.chain(r):
         if G.adjacent(c, v):
             return v
     if when_stuck == "stay":
@@ -80,10 +80,10 @@ def dismantling_pursuit_move(family: RetractionFamily, c: int, r: int) -> int:
     """Chain pursuit on a dismantling family, drifting along the cop's own
     dominator while no chain vertex of the robber is adjacent."""
     G = family.graph
-    for v in family.chain(r):
+    for v in family.order.chain(r):
         if G.adjacent(c, v):
             return v
-    d = family.dominator(c)
+    d = family.order.dominator.get(c)
     if d is None:
         raise StrategyInapplicableError(
             f"cop at chain sink {c} with no engaged chain vertex"

@@ -436,9 +436,10 @@ def test_simulated_transcripts_replay(tmp_path, family, cop, robber):
     replay(load_graph(f"{prefix}.graph"), T.moves, T.outcome, T.visit_counts)
 
 
-def test_verify_recomputes_chain_annotations(tmp_path, capsys):
-    # The cop sits on 0 while the robber sits on the terminal vertex 4, so
-    # the moves give no chain annotation; the file invents three stages.
+def _made_up_annotations(tmp_path, stages):
+    """path(5) files and a chain transcript whose moves give no chain
+    annotation: the cop sits on 0 while the robber sits on the terminal
+    vertex 4. The file claims ``stages`` anyway."""
     prefix = str(tmp_path / "p5")
     run("generate", "--family", "path", "--n", "5", "--out", prefix)
     moves = [[0, "cop", 0], [1, "robber", 4], [2, "cop", 0], [3, "robber", 4],
@@ -447,15 +448,35 @@ def test_verify_recomputes_chain_annotations(tmp_path, capsys):
         "horizon": 6, "cop_kind": "chain", "moves": moves,
         "outcome": {"kind": "horizon", "round": None, "detail": ""},
         "visit_counts": [0, 0, 0, 0, 3],
-        "stages": [[2, 5], [4, 5], [6, 5]], "chain_events": [],
+        "stages": stages, "chain_events": [],
     }
     path = tmp_path / "made_up.json"
     path.write_text(json.dumps(payload))
+    return prefix, str(path)
+
+
+def test_verify_recomputes_chain_annotations(tmp_path, capsys):
+    prefix, path = _made_up_annotations(tmp_path, [[2, 5], [4, 5], [6, 5]])
     capsys.readouterr()
     assert run("verify", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order",
-               "--transcript", str(path)) == 1
+               "--transcript", path) == 1
     assert capsys.readouterr().out == (
         "order: ok\npursuit invariants: FAIL: chain annotations differ from the moves at round 2\n"
+    )
+
+
+def test_verify_without_order_leaves_chain_annotations_unread(tmp_path, capsys):
+    # Without an order nothing can recompute the annotations, so verify
+    # neither trusts nor reports them; their types are still checked.
+    prefix, path = _made_up_annotations(tmp_path, [[2, 5], [4, 5], [6, 5]])
+    capsys.readouterr()
+    assert run("verify", "--graph", f"{prefix}.graph", "--transcript", path) == 0
+    assert capsys.readouterr() == ("", "")
+    prefix, path = _made_up_annotations(tmp_path, [[2, 5], [4, "x"]])
+    capsys.readouterr()
+    assert run("verify", "--graph", f"{prefix}.graph", "--transcript", path) == 1
+    assert capsys.readouterr() == (
+        "", "error: bad transcript file: stages entry 1 has the wrong length or types\n"
     )
 
 

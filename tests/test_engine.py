@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from pursuit import (
@@ -5,6 +7,7 @@ from pursuit import (
     CycleEvaderRobber,
     DistanceGreedyRobber,
     GameConfig,
+    GraphFormatError,
     RayRunnerRobber,
     RetractionFamily,
     ScriptedRobber,
@@ -86,7 +89,7 @@ def test_play_is_deterministic():
 def test_robber_start_override_and_instant_capture():
     K2 = path_graph(2)
     cop = chain_cop(K2)
-    T = play(GameConfig(K2, cop, StationaryRobber(), robber_start=cop.start(K2)))
+    T = play(GameConfig(K2, cop, StationaryRobber(cop.start(K2))))
     assert T.outcome == Outcome("capture", 1)
 
 
@@ -209,3 +212,40 @@ def test_transcript_serialisation_roundtrip():
     assert again == T
     text = transcript_to_text(T)
     assert text.splitlines()[0] == f"0 cop {T.moves[0][2]}"
+
+
+_GOOD_PAYLOAD = {
+    "horizon": 4, "cop_kind": "chain",
+    "moves": [[0, "cop", 0], [1, "robber", 2], [2, "cop", 1]],
+    "outcome": {"kind": "horizon", "round": None, "detail": ""},
+    "visit_counts": [0, 0, 1], "stages": [[2, 3]], "chain_events": [[2, 2, 1]],
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("outcome", {"kind": [], "round": None, "detail": ""}),
+    ("outcome", {"kind": "capture", "round": 2.0, "detail": ""}),
+    ("outcome", {"kind": "capture", "round": True, "detail": ""}),
+    ("outcome", {"kind": "horizon", "round": None, "detail": 0}),
+    ("moves", [[0, "cop", 0], [1, "robber", True]]),
+    ("moves", [[0, "cop", 0], [1, "thief", 2]]),
+    ("moves", [[0, "cop", 0], [1, ["robber"], 2]]),
+    ("moves", [[0, "cop", 0], [1, "robber"]]),
+    ("moves", [[0, "cop", 0], [1.0, "robber", 2]]),
+    ("visit_counts", [0, 0, 1.0]),
+    ("visit_counts", [0, 0, False]),
+    ("stages", [[2, "3"]]),
+    ("stages", [[2, 3, 4]]),
+    ("chain_events", [[2, 2, None]]),
+    ("horizon", "4"),
+    ("cop_kind", ["chain"]),
+])
+def test_transcript_fields_are_type_checked(field, value):
+    assert transcript_from_json(json.dumps(_GOOD_PAYLOAD)).stages == ((2, 3),)
+    with pytest.raises(GraphFormatError, match="^bad transcript file: "):
+        transcript_from_json(json.dumps({**_GOOD_PAYLOAD, field: value}))
+
+
+def test_deeply_nested_transcript_is_a_format_error():
+    with pytest.raises(GraphFormatError, match="^bad transcript file: "):
+        transcript_from_json("[" * 100_000)

@@ -422,3 +422,118 @@ def test_numpy_integer_sequences_verify_like_ints():
                 want = verify(G, [int(v) for v in seq], collect=collect)
                 assert (got.ok, got.where, got.detail) == (want.ok, want.where, want.detail)
     assert verify_dominating_order(G, np.arange(70))
+
+
+# -- the memoised chase as a reference for depth_table ----------------------
+
+
+def _ref_depth_table(order, strict=True):
+    """Depths by chasing each dominator chain until a vertex whose depth is
+    known, the terminal's (0) included."""
+    terminal = order.terminal()
+    depth = {terminal: 0}
+
+    def chase(v):
+        trail = []
+        cur = v
+        while cur not in depth:
+            if cur in trail:
+                raise InvalidOrderError(f"dominator cycle through vertex {cur}")
+            trail.append(cur)
+            nxt = order.dominator.get(cur)
+            if nxt is None:
+                for w in trail:
+                    depth[w] = None
+                return
+            cur = nxt
+        base = depth[cur]
+        for i, w in enumerate(reversed(trail), start=1):
+            depth[w] = None if base is None else base + i
+
+    for v in order.sequence:
+        chase(v)
+    if strict and any(depth[v] is None for v in order.sequence):
+        stuck = [v for v in order.sequence if depth[v] is None]
+        raise InvalidOrderError(f"dominator chain stuck at vertices {stuck}")
+    return tuple(depth[v] for v in range(len(order.sequence)))
+
+
+def _depth_outcome(fn, order, strict):
+    try:
+        return ("ok", fn(order, strict=strict))
+    except InvalidOrderError as err:
+        return ("raises", str(err))
+
+
+DEPTH_ORDER_KINDS = ("valid", "shuffled", "two_cycle", "stuck", "outside")
+
+
+@st.composite
+def _depth_orders(draw):
+    """Orders from the peel with their flavour's terminal, broken one of
+    several ways; the terminal never gets a dominator of its own."""
+    n = draw(st.integers(1, 12))
+    G, order = random_constructible(n, draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        order = find_dismantling_order(G)
+    seq, dom = list(order.sequence), dict(order.dominator)
+    kind = draw(st.sampled_from(DEPTH_ORDER_KINDS))
+    if kind == "shuffled":
+        seq = draw(st.permutations(seq))
+    terminal = seq[0 if order.flavor == "constructing" else -1]
+    others = [v for v in seq if v != terminal]
+    if kind == "two_cycle" and len(others) >= 2:
+        a, b = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+        dom.update({a: b, b: a})
+    elif kind == "stuck" and others:
+        for v in draw(st.lists(st.sampled_from(others), min_size=1, unique=True)):
+            dom.pop(v, None)
+    elif kind == "outside" and others:
+        for v in draw(st.lists(st.sampled_from(others), min_size=1, unique=True)):
+            dom[v] = draw(st.sampled_from([-1, n, n + 5]))
+    dom.pop(terminal, None)
+    return Order(tuple(seq), dom, order.flavor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_depth_orders())
+def test_depth_table_matches_the_memoised_chase(order):
+    for strict in (True, False):
+        got = _depth_outcome(depth_table, order, strict)
+        assert got == _depth_outcome(_ref_depth_table, order, strict), (order, strict)
+
+
+def test_depth_table_walks_on_past_a_terminal_with_its_own_dominator():
+    # A dominator recorded for the terminal is followed like any other, so
+    # a cycle through the terminal raises where the chase stopped at the
+    # terminal. An order file can say this with a `t:t` entry.
+    for order in (
+        Order((0, 1, 2), {0: 0, 1: 0, 2: 1}, "constructing"),
+        order_from_text("order 0 1 2\ndelta 0:0 1:0 2:1\n"),
+        Order((0, 1, 2), {0: 2, 1: 0, 2: 1}, "constructing"),
+    ):
+        assert _ref_depth_table(order) == (0, 1, 2)
+        with pytest.raises(InvalidOrderError, match="dominator cycle through vertex"):
+            depth_table(order, strict=False)
+    # without a cycle the terminal keeps its first index on every chain
+    order = Order((1, 0, 2), {1: 0, 2: 1}, "constructing")
+    assert depth_table(order, strict=False) == _ref_depth_table(order, strict=False) == (None, 0, 1)
+
+
+def test_depth_table_raises_on_outside_chains_longer_than_the_order():
+    # keys outside the graph can make a chain longer than the order; the
+    # chase followed it to its end and found no terminal
+    order = Order((0, 1, 2), {1: 0, 2: 7, 7: 8, 8: 9}, "constructing")
+    assert _ref_depth_table(order, strict=False) == (0, 1, None)
+    with pytest.raises(InvalidOrderError, match="dominator chain exceeds the graph order"):
+        depth_table(order, strict=False)
+
+
+def test_order_chain_is_cached_and_stops_at_the_first_sink():
+    order = Order((0, 1, 2, 3), {1: 0, 2: 1, 3: 5}, "constructing")
+    assert order.chain(2) == (2, 1, 0)
+    assert order.chain(2) is order.chain(2)
+    assert order.chain(3) == (3, 5)
+    assert order.chain(9) == (9,)
+    with pytest.raises(InvalidOrderError, match="dominator cycle through vertex 1"):
+        Order((0, 1, 2), {1: 2, 2: 1}, "constructing").chain(1)

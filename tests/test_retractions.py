@@ -420,6 +420,9 @@ def test_table_matches_chain_walk_on_paper_families():
 
 def _assert_matches_reference(G, fam):
     n = G.order
+    for v in range(-1, n + 1):
+        want = _outcome(lambda: tuple(_reference_chain(fam.order, n, v)))
+        assert _outcome(fam.order.chain, v) == want, v
     for k in range(-1, n + 2):
         for v in range(-1, n + 1):
             got = _outcome(fam.retract, k, v)
