@@ -375,7 +375,7 @@ def _ints(xs) -> bool:
 
 def _rows(rows, what: str, width: int, ok=_ints) -> tuple:
     """``rows`` as tuples of ``width`` entries that pass ``ok``."""
-    out = tuple(tuple(row) for row in rows)
+    out = tuple([tuple(row) for row in rows])  # see Graph.__init__
     for i, row in enumerate(out):
         if len(row) != width or not ok(row):
             raise TypeError(f"{what} entry {i} has the wrong length or types")

@@ -29,7 +29,7 @@ class Graph:
     every adjacency query treats a vertex as adjacent to itself.
     """
 
-    __slots__ = ("_n", "_adj", "_labels", "_matrix", "_dist", "_masks")
+    __slots__ = ("_n", "_adj", "_labels", "_matrix", "_dist", "_masks", "_nbhds")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels=None):
         if n <= 0:
@@ -43,7 +43,12 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._n = n
-        self._adj = tuple(frozenset(s) for s in adj)
+        # Per-vertex tuples are built from lists, here and in the modules
+        # that point to this note. CPython 3.11 builds tuple(generator) by
+        # resizing a block that is not taken from the tuple free list, yet
+        # frees the result into it, so a process that handles many small
+        # graphs fills those free lists and its RSS creeps up by megabytes.
+        self._adj = tuple([frozenset(s) for s in adj])
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -52,6 +57,7 @@ class Graph:
         self._matrix = None
         self._dist = None
         self._masks = None
+        self._nbhds = None
 
     @property
     def order(self) -> int:
@@ -146,8 +152,16 @@ class Graph:
     def closed_masks(self) -> tuple[int, ...]:
         """Closed neighbourhoods as int bitmasks: bit w of entry v is set iff w is in N[v]."""
         if self._masks is None:
-            self._masks = tuple(sum(1 << w for w in (v, *s)) for v, s in enumerate(self._adj))
+            self._masks = tuple([sum(1 << w for w in (v, *s)) for v, s in enumerate(self._adj)])
         return self._masks
+
+    def closed_neighborhoods(self) -> tuple[tuple[int, ...], ...]:
+        """Closed neighbourhoods as sorted tuples: entry v lists N[v] in
+        increasing order. Unchecked and cached, for hot loops; use
+        :meth:`neighbors` for a checked lookup."""
+        if self._nbhds is None:
+            self._nbhds = tuple([tuple(sorted((v, *s))) for v, s in enumerate(self._adj)])
+        return self._nbhds
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

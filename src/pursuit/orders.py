@@ -147,6 +147,12 @@ def _verify(G: Graph, order, suffix: bool, collect: bool):
     _check_permutation(G, sequence)
     sequence = [int(v) for v in sequence]  # a shift by a numpy integer wraps
     n = len(sequence)
+    terminal = sequence[-1 if suffix else 0]
+    if dom is not None and terminal in dom:
+        # every chain ends at the terminal, so Order.chain would cycle
+        raise InvalidOrderError(
+            f"terminal vertex {terminal} has a recorded dominator {dom[terminal]}"
+        )
     ranks = range(0, n - 1) if suffix else range(1, n)
     region = (1 << n) - 1 if suffix else 1 << sequence[0]
     violations = []
@@ -206,7 +212,7 @@ def depth_table(order: Order, strict: bool = True) -> tuple:
     if strict and None in depth.values():
         stuck = [v for v in order.sequence if depth[v] is None]
         raise InvalidOrderError(f"dominator chain stuck at vertices {stuck}")
-    return tuple(depth[v] for v in range(len(order.sequence)))
+    return tuple([depth[v] for v in range(len(order.sequence))])  # see Graph.__init__
 
 
 def naturalize_order(G: Graph, order: Order):
@@ -231,7 +237,7 @@ def naturalize_order(G: Graph, order: Order):
     new_seq = tuple(sorted(sequence, key=lambda v: (level[v], rank[v])))
     return (
         Order(new_seq, dict(order.dominator), "constructing"),
-        tuple(level[v] for v in range(G.order)),
+        tuple([level[v] for v in range(G.order)]),  # see Graph.__init__
     )
 
 
@@ -261,7 +267,7 @@ def order_from_text(text: str, flavor: str = "auto") -> Order:
             raise GraphFormatError(f"unexpected line in order file: {line!r}")
         try:
             if parts[0] == "order":
-                sequence = tuple(int(x) for x in parts[1:])
+                sequence = tuple([int(x) for x in parts[1:]])  # see Graph.__init__
             else:
                 for pair in parts[1:]:
                     v, d = pair.split(":")

@@ -53,7 +53,7 @@ class GameTable:
     def cop_move(self, c: int, r: int) -> int:
         """Optimal cop move; on states with no forced capture, chase by
         BFS distance (deterministic fallback)."""
-        options = sorted(self.graph.neighbors(c))
+        options = self.graph.closed_neighborhoods()[c]
         vals = [(self._cop_value(cp, r), cp) for cp in options]
         best = min(vals)
         if best[0] < _INF:
@@ -71,7 +71,7 @@ class GameTable:
 
     def robber_move(self, c: int, r: int) -> int:
         """Optimal robber move: safe if possible, else maximal delay."""
-        options = sorted(self.graph.neighbors(r))
+        options = self.graph.closed_neighborhoods()[r]
         best = max(options, key=lambda rp: (self._robber_value(c, rp), -rp))
         return best
 
@@ -97,7 +97,9 @@ def is_cop_win(G: Graph) -> bool:
 class SearchResult:
     """value: True (robber guarantees the objective), False (cannot), or
     None (budget exceeded -- inconclusive, deliberately distinct from
-    False)."""
+    False). witness: a :class:`SurviveWitness` when the survival DP finds
+    the robber surviving; the windowed and fixed-cop searches return none.
+    explored: states (memo search) or layer cells (survival DP) computed."""
 
     value: bool | None
     witness: object = None
@@ -129,8 +131,7 @@ class SurviveWitness:
         return int(safe[0]) if len(safe) else None
 
     def move(self, t: int, c: int, r: int) -> int:
-        options = sorted(self.graph.neighbors(r))
-        for rp in options:
+        for rp in self.graph.closed_neighborhoods()[r]:
             if rp == c or not self.allowed[rp]:
                 continue
             if t + 1 > self.horizon or self.layer(t + 1)[c, rp]:
@@ -162,18 +163,24 @@ def _survive_search(
 class _MemoSearch:
     """Exact minimax with objective memory (visited set + fresh-move
     streak) and an optional fixed cop strategy. Tri-state values: True,
-    False, or None once the state budget is exhausted."""
+    False, or None once the state budget is exhausted.
+
+    ``visited`` is an int bitmask (bit v set once the robber has stood on
+    v). Each player's options at a vertex are its sorted closed
+    neighbourhood, filtered once by the vertices that player may use."""
 
     def __init__(self, G, horizon, allowed, cop_allowed, window, cop, budget):
+        nbhds = G.closed_neighborhoods()
         self.G = G
         self.h = horizon
         self.allowed = allowed
         self.cop_allowed = cop_allowed
+        self.cop_options = [[x for x in N if cop_allowed[x]] for N in nbhds]
+        self.robber_options = [[x for x in N if allowed[x]] for N in nbhds]
         self.window = window
         self.cop = cop
         self.budget = budget
         self.memo = {}
-        self.moves = {}
 
     def run(self):
         n = self.G.order
@@ -188,9 +195,8 @@ class _MemoSearch:
             for r0 in range(n):
                 if r0 == c0 or not self.allowed[r0]:
                     continue
-                v = self._value(2, c0, r0, frozenset([r0]), 0)
+                v = self._value(2, c0, r0, 1 << r0, 0)
                 if v is True:
-                    self.moves[(1, c0)] = r0
                     got = True
                     break
                 if v is None:
@@ -198,34 +204,31 @@ class _MemoSearch:
             if not got:
                 verdict = None if unknown else False
                 break
-        return SearchResult(
-            verdict,
-            witness=self.moves if verdict is True else None,
-            explored=len(self.memo),
-        )
+        return SearchResult(verdict, explored=len(self.memo))
 
     def _value(self, t, c, r, visited, streak):
         if t > self.h:
             return True
         key = (t, c, r, visited, streak)
-        hit = self.memo.get(key, "miss")
+        memo = self.memo
+        hit = memo.get(key, "miss")
         if hit != "miss":
             return hit
-        if self.budget is not None and len(self.memo) >= self.budget:
+        if self.budget is not None and len(memo) >= self.budget:
             return None
-        self.memo[key] = None  # cycle-safe placeholder; rounds strictly increase anyway
+        memo[key] = None  # entered: the budget counts this state from here on
+        last = t == self.h  # every child is past the horizon, so True
         if t % 2 == 0:
             if self.cop is not None:
                 cp = self.cop.move(self.G, c, r, t)
                 out = False if cp == r else self._value(t + 1, cp, r, visited, streak)
+            elif r in self.cop_options[c]:
+                out = False  # capture: no other cop move can do better
+            elif last:
+                out = True
             else:
                 out = True
-                for cp in sorted(self.G.neighbors(c)):
-                    if not self.cop_allowed[cp]:
-                        continue
-                    if cp == r:
-                        out = False
-                        break
+                for cp in self.cop_options[c]:
                     v = self._value(t + 1, cp, r, visited, streak)
                     if v is False:
                         out = False
@@ -234,24 +237,24 @@ class _MemoSearch:
                         out = None
         else:
             out = False
-            for rp in sorted(self.G.neighbors(r)):
-                if rp == c or not self.allowed[rp]:
+            window = self.window
+            for rp in self.robber_options[r]:
+                if rp == c:
                     continue
-                if rp in visited:
+                if visited >> rp & 1:
                     nv, ns = visited, 0
                 else:
                     ns = streak + 1
-                    if self.window is not None and ns >= self.window:
+                    if window is not None and ns >= window:
                         continue  # w fresh moves in a row: window violated
-                    nv = visited | {rp}
-                v = self._value(t + 1, c, rp, nv, ns)
+                    nv = visited | 1 << rp
+                v = True if last else self._value(t + 1, c, rp, nv, ns)
                 if v is True:
-                    self.moves[(t, c, r, visited, streak)] = rp
                     out = True
                     break
                 if v is None:
                     out = None
-        self.memo[key] = out
+        memo[key] = out
         return out
 
 
@@ -350,6 +353,7 @@ def _reach(G: Graph, cop, horizon: int, budget: int | None = None, target=None):
     if c0 == target:
         return tuple(rob_latest), tuple(cop_earliest), False, 0
     layer = {(c0, r0) for r0 in range(n) if r0 != c0}
+    nbhds = G.closed_neighborhoods()
     truncated = False
     arrival = -1
     t = 1
@@ -373,7 +377,7 @@ def _reach(G: Graph, cop, horizon: int, budget: int | None = None, target=None):
         else:  # the robber, not captured, survives round t + 1 by staying
             for c, r in layer:
                 rob_latest[r] = t
-                nxt.update((c, rp) for rp in G.neighbors(r) if rp != c)
+                nxt.update((c, rp) for rp in nbhds[r] if rp != c)
         layer = nxt
         t += 1
     if layer:

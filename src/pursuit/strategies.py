@@ -195,7 +195,7 @@ class DistanceGreedyRobber:
 
     def move(self, G: Graph, c: int, r: int) -> int:
         dm = G.distance_matrix()
-        return max(sorted(G.neighbors(r)), key=lambda v: (int(dm[v, c]), -v))
+        return max(G.closed_neighborhoods()[r], key=lambda v: (int(dm[v, c]), -v))
 
 
 class RayRunnerRobber:

@@ -126,6 +126,20 @@ def test_verify_reports_malformed_order_file(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_rejects_a_dominator_recorded_for_the_terminal(tmp_path, capsys):
+    # The order used to verify, and `simulate --cop s_star` then failed on
+    # a dominator cycle through the terminal.
+    prefix = str(tmp_path / "p3")
+    run("generate", "--family", "path", "--n", "3", "--out", prefix)
+    bad = tmp_path / "bad.order"
+    bad.write_text("order 0 1 2\ndelta 0:0 1:0 2:1\n")
+    capsys.readouterr()
+    assert run("verify", "--graph", f"{prefix}.graph", "--order", str(bad)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: terminal vertex 0 has a recorded dominator 0\n"
+
+
 def test_verify_rejects_transcript_off_the_graph(tmp_path, capsys):
     prefix = str(tmp_path / "pet")
     run("generate", "--family", "petersen", "--out", prefix)

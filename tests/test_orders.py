@@ -64,6 +64,24 @@ def test_verify_rejects_non_permutation():
         verify_dominating_order(path_graph(3), [0, 1, 1])
 
 
+def test_verify_rejects_a_dominator_recorded_for_the_terminal():
+    # Chain walks follow a terminal entry, so every chain would cycle
+    # through it; verification must not pass such a map.
+    P3 = path_graph(3)
+    for order in (
+        order_from_text("order 0 1 2\ndelta 0:0 1:0 2:1\n"),
+        Order((0, 1, 2), {0: 1, 1: 0, 2: 1}, "constructing"),
+    ):
+        with pytest.raises(InvalidOrderError, match="terminal vertex 0 has a recorded dominator"):
+            verify_dominating_order(P3, order, collect=True)
+    dismantling = Order((2, 1, 0), {2: 1, 1: 0, 0: 1}, "dismantling")
+    with pytest.raises(InvalidOrderError, match="terminal vertex 0 has a recorded dominator 1"):
+        verify_dismantling_order(P3, dismantling)
+    # the same maps without the terminal entry verify
+    assert verify_dominating_order(P3, Order((0, 1, 2), {1: 0, 2: 1}, "constructing"))
+    assert verify_dismantling_order(P3, Order((2, 1, 0), {2: 1, 1: 0}, "dismantling"))
+
+
 def test_dismantling_k3_present():
     order = find_dismantling_order(complete_graph(3))
     assert order is not None and verify_dismantling_order(complete_graph(3), order)
@@ -276,11 +294,18 @@ def _ref_dominates(G, u, v):
 def _assert_verify_matches(G, sequence, dom):
     for suffix, verify in ((False, verify_dominating_order), (True, verify_dismantling_order)):
         flavor = "dismantling" if suffix else "constructing"
+        terminal = sequence[-1 if suffix else 0]
+        if terminal in dom:
+            # rejected before any rank is checked; the reference never looks
+            # at the terminal, so compare the rest of the map
+            with pytest.raises(InvalidOrderError, match=f"terminal vertex {terminal} has"):
+                verify(G, Order(sequence, dom, flavor))
+        rest = {v: d for v, d in dom.items() if v != terminal}
         for collect in (False, True):
-            for order, ref_dom in ((Order(sequence, dom, flavor), dom), (sequence, None)):
+            for order, ref_dom in ((Order(sequence, rest, flavor), rest), (sequence, None)):
                 got = verify(G, order, collect=collect)
                 want = _ref_verify(G, tuple(sequence), ref_dom, suffix, collect)
-                assert (got.ok, got.where, got.detail) == want, (sequence, dom, flavor, collect)
+                assert (got.ok, got.where, got.detail) == want, (sequence, rest, flavor, collect)
 
 
 def _assert_recovery_matches(G, rob_latest):
@@ -394,8 +419,8 @@ def test_dominator_outside_the_graph_is_outside_its_prefix(d):
     G = path_graph(4)
     for flavor, verify, side in (("constructing", verify_dominating_order, "prefix"),
                                  ("dismantling", verify_dismantling_order, "suffix")):
-        dom = {0: 1, 1: 2, 2: 3, 3: 2}
-        dom[1] = d
+        dom = {0: 1, 1: d, 2: 3, 3: 2}
+        del dom[0 if flavor == "constructing" else 3]  # the terminal records none
         res = verify(G, Order((0, 1, 2, 3), dom, flavor))
         assert not res and res.where == 1
         assert res.detail == f"dominator {d} of 1 outside its {side}"

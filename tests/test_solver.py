@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pursuit import (
     ChainPursuitCop,
@@ -243,12 +244,149 @@ def test_revisit_window_binds_on_c4():
 
 
 def test_memo_and_dp_paths_agree_on_survive():
+    # A window of h + 1 never binds: the robber makes at most h / 2 moves.
+    # Small graphs run to h = 2n^2; seeded random and random constructible
+    # graphs with n = 7..12 at h = 6 and 10.
+    cases = []
     for seed in range(6):
         G = random_connected_graph(2 + seed % 5, 800 + seed)
-        h = 2 * G.order * G.order
-        dp = adversarial_search(G, h)
-        memo = adversarial_search(G, h, revisit_window=10 * h)  # window never binds
-        assert dp.value == memo.value
+        cases.append((G, 2 * G.order * G.order))
+    for n in range(7, 13):
+        for seed in range(3):
+            for G in (random_connected_graph(n, 100 * n + seed),
+                      random_constructible(n, 100 * n + seed)[0]):
+                cases += [(G, 6), (G, 10)]
+    values = []
+    for G, h in cases:
+        dp = adversarial_search(G, h, budget=None).value
+        memo = adversarial_search(G, h, revisit_window=h + 1, budget=None).value
+        assert memo == dp, (G, h)
+        values.append(dp)
+    assert True in values and False in values
+
+
+class _RefMemoSearch:
+    """The windowed search as it was first written, as a reference: visited
+    sets as frozensets, neighbourhoods sorted on every visit, and every cop
+    move explored in order, captures included. Exact; no budget."""
+
+    def __init__(self, G, horizon, forbidden, cop_forbidden, window, cop):
+        self.G = G
+        self.h = horizon
+        self.allowed = [v not in forbidden for v in G.vertices()]
+        self.cop_allowed = [v not in cop_forbidden for v in G.vertices()]
+        self.window = window
+        self.cop = cop
+        self.memo = {}
+
+    def run(self):
+        n = self.G.order
+        if self.cop is not None:
+            starts = [self.cop.start(self.G)]
+        else:
+            starts = [c for c in range(n) if self.cop_allowed[c]]
+        return all(
+            any(self._value(2, c0, r0, frozenset([r0]), 0)
+                for r0 in range(n) if r0 != c0 and self.allowed[r0])
+            for c0 in starts
+        )
+
+    def _value(self, t, c, r, visited, streak):
+        if t > self.h:
+            return True
+        key = (t, c, r, visited, streak)
+        if key in self.memo:
+            return self.memo[key]
+        if t % 2 == 0:
+            if self.cop is not None:
+                cp = self.cop.move(self.G, c, r, t)
+                out = cp != r and self._value(t + 1, cp, r, visited, streak)
+            else:
+                out = True
+                for cp in sorted(self.G.neighbors(c)):
+                    if not self.cop_allowed[cp]:
+                        continue
+                    if cp == r or not self._value(t + 1, cp, r, visited, streak):
+                        out = False
+                        break
+        else:
+            out = False
+            for rp in sorted(self.G.neighbors(r)):
+                if rp == c or not self.allowed[rp]:
+                    continue
+                if rp in visited:
+                    nv, ns = visited, 0
+                else:
+                    ns = streak + 1
+                    if self.window is not None and ns >= self.window:
+                        continue
+                    nv = visited | {rp}
+                if self._value(t + 1, c, rp, nv, ns):
+                    out = True
+                    break
+        self.memo[key] = out
+        return out
+
+
+@st.composite
+def _connected_graphs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return Graph(n, [(p, v) for v, p in enumerate(parents, start=1)] + extra)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_connected_graphs(), st.data())
+def test_memo_search_matches_the_reference_search(G, data):
+    # A fixed cop may go without a window; with neither, the search is the
+    # survival DP.
+    subsets = st.sets(st.sampled_from(range(G.order)))
+    horizon = data.draw(st.integers(0, 10), label="horizon")
+    forbidden = data.draw(subsets, label="forbidden")
+    if data.draw(st.booleans(), label="table cop"):
+        cop, cop_forbidden = TableCop(decide_cop_win(G)), set()
+        window = data.draw(st.sampled_from([1, 2, 3, 4, None]), label="window")
+    else:
+        cop, cop_forbidden = None, data.draw(subsets, label="cop_forbidden")
+        window = data.draw(st.integers(1, 4), label="window")
+    expect = _RefMemoSearch(G, horizon, forbidden, cop_forbidden, window, cop).run()
+    got = adversarial_search(
+        G, horizon, forbidden=sorted(forbidden), cop_forbidden=sorted(cop_forbidden),
+        revisit_window=window, cop=cop, budget=None,
+    )
+    assert got.value is expect
+
+
+@pytest.mark.parametrize("G", [cycle_graph(k) for k in (4, 5, 6, 7)] + [petersen_graph()],
+                         ids=["C4", "C5", "C6", "C7", "petersen"])
+def test_memo_search_matches_the_reference_search_on_cycles(G):
+    # Flights around a cycle make the window bind after revisits, which
+    # small random graphs rarely do.
+    for h in range(2, 13):
+        for window in (1, 2, 3, 4):
+            expect = _RefMemoSearch(G, h, (), (), window, None).run()
+            got = adversarial_search(G, h, revisit_window=window, budget=None)
+            assert got.value is expect, (h, window)
+
+
+@pytest.mark.parametrize("name, G, h, window, cop", [
+    ("C5_window3", cycle_graph(5), 12, 3, None),
+    ("C6_window3", cycle_graph(6), 8, 3, None),
+    ("C4_table_cop", cycle_graph(4), 20, None, TableCop(decide_cop_win(cycle_graph(4)))),
+])
+def test_memo_budget_counts_states_entered(name, G, h, window, cop):
+    full = adversarial_search(G, h, revisit_window=window, cop=cop, budget=None)
+    assert full.value is not None and full.explored > 0
+    assert adversarial_search(G, h, revisit_window=window, cop=cop, budget=0).value is None
+    for budget in range(full.explored + 3):
+        cut = adversarial_search(G, h, revisit_window=window, cop=cop, budget=budget)
+        assert cut.explored <= budget
+        if budget >= full.explored:
+            assert (cut.value, cut.explored) == (full.value, full.explored)
+        else:
+            assert cut.value in (None, full.value)
 
 
 def test_fixed_cop_search():
