@@ -29,7 +29,7 @@ class Graph:
     every adjacency query treats a vertex as adjacent to itself.
     """
 
-    __slots__ = ("_n", "_adj", "_labels", "_matrix", "_dist", "_masks", "_nbhds")
+    __slots__ = ("_n", "_adj", "_labels", "_matrix", "_dist", "_masks", "_nbhds", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels=None):
         if n <= 0:
@@ -58,6 +58,7 @@ class Graph:
         self._dist = None
         self._masks = None
         self._nbhds = None
+        self._edges = None
 
     @property
     def order(self) -> int:
@@ -106,6 +107,12 @@ class Graph:
             for v in self._adj[u]:
                 if u < v:
                     yield (u, v)
+
+    def edge_array(self) -> np.ndarray:
+        """Edges as a cached int (m, 2) array, rows in :meth:`edges` order."""
+        if self._edges is None:
+            self._edges = np.array(list(self.edges()), dtype=np.intp).reshape(-1, 2)
+        return self._edges
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self._adj) // 2

@@ -203,12 +203,27 @@ def depth_table(order: Order, strict: bool = True) -> tuple:
 
     Vertex-indexed. With ``strict=False`` stuck chains yield ``None``
     instead of raising (truncated orders have such sinks).
+
+    O(n): each chain is walked only up to the first vertex already
+    settled, whose chain is the rest of it. A walk that could not make a
+    chain asks :meth:`Order.chain` for the exact error.
     """
     terminal = order.terminal()
-    depth = {}
+    n = len(order.sequence)
+    known = {}  # vertex -> (index of the terminal on its chain or None, chain length)
     for v in order.sequence:
-        chain = order.chain(v)
-        depth[v] = chain.index(terminal) if terminal in chain else None
+        trail, w = [], v
+        while w is not None and w not in known and len(trail) <= n:
+            trail.append(w)
+            w = order.dominator.get(w)
+        d, length = known.get(w, (None, 0))
+        if len(trail) + length > n:  # a cycle, or a chain longer than the order
+            order.chain(v)  # raises
+        for u in reversed(trail):
+            d = 0 if u == terminal else (None if d is None else d + 1)
+            length += 1
+            known[u] = (d, length)
+    depth = {v: known[v][0] for v in order.sequence}
     if strict and None in depth.values():
         stuck = [v for v in order.sequence if depth[v] is None]
         raise InvalidOrderError(f"dominator chain stuck at vertices {stuck}")

@@ -61,6 +61,11 @@ class RetractionFamily:
         table = np.array(columns, dtype=np.int32).T
         return np.ascontiguousarray(table[::-1] if flip else table)
 
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Vertex-indexed ranks in the order."""
+        return np.array([self.order.rank_of(v) for v in range(self.graph.order)])
+
     def _row(self, cutoff: int) -> int:
         """Table row for ``cutoff``; raises ValueError when out of range."""
         n = self.graph.order
@@ -140,13 +145,13 @@ def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> 
             family.retract(cutoff, v)  # raises the error behind the -1
         except NontotalRetractionError as err:
             return CheckResult(False, where=(cutoff, err.vertex), detail=str(err))
-    ranks = np.array([family.order.rank_of(v) for v in G.vertices()])
+    ranks = family.ranks
     in_target = ranks < cutoff if family.flavor == "constructing" else ranks >= cutoff
     if (v := _first(~in_target[image])) is not None:
         return CheckResult(False, where=v, detail=f"image of {v} misses the target region")
     if (h := _first(in_target & (image != np.arange(G.order)))) is not None:
         return CheckResult(False, where=h, detail=f"target vertex {h} moved to {image[h]}")
-    edges = np.array(list(G.edges()), dtype=np.intp).reshape(-1, 2)
+    edges = G.edge_array()
     if (i := _first(~G.adjacency_matrix()[image[edges[:, 0]], image[edges[:, 1]]])) is not None:
         u, v = edges[i].tolist()
         return CheckResult(
@@ -168,7 +173,7 @@ def check_shifted_edge_property(
         cons = family.flavor == "constructing"
         cutoffs = range(1, G.order) if cons else range(0, family.max_total_cutoff())
     cutoffs = list(cutoffs)
-    edges = np.array(list(G.edges()), dtype=np.intp).reshape(-1, 2)
+    edges = G.edge_array()
     a, b = edges.reshape(-1), edges[:, ::-1].reshape(-1)  # (u, v) before (v, u)
     adj = G.adjacency_matrix()
     for k in cutoffs if len(a) else ():

@@ -143,12 +143,11 @@ def _survive_search(
     G: Graph, horizon: int, allowed: np.ndarray, cop_allowed: np.ndarray, budget: int
 ):
     n = G.order
-    if int(allowed.sum()) == 0:
-        return SearchResult(False)
-    if horizon < 2:
-        # Game ends at or before the robber's placement.
-        value = horizon < 1 or int(allowed.sum()) >= 2
-        return SearchResult(bool(value))
+    # The robber is placed in round 1: every allowed cop start must leave
+    # him an allowed start elsewhere. Below horizon 2 that is the game.
+    placed = bool((int(allowed.sum()) - allowed > 0)[cop_allowed].all())
+    if horizon < 2 or not placed:
+        return SearchResult(placed)
     layers = _kernels.survive_layers(G.adjacency_matrix(), allowed, horizon, cop_allowed, budget)
     if layers is None:
         # the sweep stopped after the whole layers the budget pays for
@@ -337,7 +336,8 @@ def estimate_timing(
 
 def _reach(G: Graph, cop, horizon: int, budget: int | None = None, target=None):
     """Walk the layers of uncaptured (cop, robber) states, one per round
-    up to ``horizon``, calling ``cop.move`` once per state and cop round.
+    up to ``horizon``, asking ``cop.rule`` once per cop round for the
+    move function it then calls on every state.
 
     Returns ``(rob_latest, cop_earliest, truncated, arrival)``: the first
     two as in :class:`TimingProfile`; ``truncated`` when a layer outgrew
@@ -365,8 +365,9 @@ def _reach(G: Graph, cop, horizon: int, budget: int | None = None, target=None):
             break
         nxt = set()
         if t % 2 == 1:  # the cop replies in round t + 1
+            move = cop.rule(G, t + 1)
             for c, r in layer:
-                m = cop.move(G, c, r, t + 1)
+                m = move(c, r)
                 if cop_earliest[m] < 0:
                     cop_earliest[m] = t + 1
                 if m == target:

@@ -1,12 +1,16 @@
 """Cop move rules and robber policies.
 
-Cop strategies expose ``start(G)`` and ``move(G, c, r, round)``; robber
-policies expose ``start(G, c)`` and ``move(G, c, r)``. Strategy context
-(orders, projection families, solver tables) is immutable and shared;
-policies that track history are single-game objects.
+Cop strategies expose ``start(G)``, ``move(G, c, r, round)`` and
+``rule(G, round)``, which is ``move`` for one round as a function of
+``(c, r)``; robber policies expose ``start(G, c)`` and ``move(G, c, r)``.
+Strategy context (orders, projection families, solver tables) is
+immutable and shared; policies that track history are single-game
+objects.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import (
     ScriptError,
@@ -91,7 +95,15 @@ def dismantling_pursuit_move(family: RetractionFamily, c: int, r: int) -> int:
     return d
 
 
-class ChainPursuitCop:
+class _UntimedCop:
+    """Base of the cop rules that ignore the round."""
+
+    def rule(self, G: Graph, round: int):
+        """``move(G, c, r, round)`` as a function of ``(c, r)``."""
+        return partial(self.move, G)
+
+
+class ChainPursuitCop(_UntimedCop):
     kind = "chain"
 
     def __init__(self, family: RetractionFamily, when_stuck: str = "error"):
@@ -107,7 +119,7 @@ class ChainPursuitCop:
         return chain_pursuit_move(self.family, c, r, when_stuck=self.when_stuck)
 
 
-class PrefixRecursiveCop:
+class PrefixRecursiveCop(_UntimedCop):
     kind = "recursive"
 
     def __init__(self, order: Order):
@@ -134,8 +146,23 @@ class ProtectiveCop:
     def move(self, G: Graph, c: int, r: int, round: int) -> int:
         return protective_move(self.family, r, round)
 
+    def rule(self, G: Graph, round: int):
+        """``move(G, c, r, round)`` as a function of ``(c, r)``: on even
+        rounds a lookup in one row of the family's table, with ``move``
+        raising the exact error where the entry is -1."""
+        if round % 2 != 0:
+            return partial(self.move, G, round=round)  # raises like move
+        family = self.family
+        row = family.table[family._row(round // 2 + 1)].tolist()
 
-class DismantlingPursuitCop:
+        def move(c: int, r: int) -> int:
+            m = row[r]
+            return m if m >= 0 else self.move(G, c, r, round)
+
+        return move
+
+
+class DismantlingPursuitCop(_UntimedCop):
     kind = "dismantling"
 
     def __init__(self, family: RetractionFamily):
@@ -150,7 +177,7 @@ class DismantlingPursuitCop:
         return dismantling_pursuit_move(self.family, c, r)
 
 
-class TableCop:
+class TableCop(_UntimedCop):
     kind = "table"
 
     def __init__(self, table: GameTable):

@@ -44,6 +44,15 @@ def test_block_hub_neighbors():
     assert G.neighbors(hub) == expected
 
 
+def test_edge_array_is_cached_in_edge_order():
+    # 9 and 2 sit in a frozenset's table in that order, so edges() is not sorted
+    G = Graph(10, [(0, 2), (0, 9), (3, 4)])
+    assert list(G.edges()) == [(0, 9), (0, 2), (3, 4)]
+    assert G.edge_array().tolist() == [[0, 9], [0, 2], [3, 4]]
+    assert G.edge_array() is G.edge_array()
+    assert Graph(3).edge_array().shape == (0, 2)
+
+
 def test_dominates_complete_and_cycle():
     K3 = complete_graph(3)
     assert all(dominates(K3, u, v) for u in range(3) for v in range(3) if u != v)

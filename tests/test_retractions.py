@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -439,6 +440,90 @@ def _assert_matches_reference(G, fam):
         assert _outcome(check_shifted_edge_property, G, fam, cutoffs) == _outcome(
             reference_shift_check, G, fam, cutoffs
         ), list(cutoffs)
+
+
+def _first(mask):
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _rebuilt_family_check(G, family, cutoff):
+    """check_family_retraction as first written: it rebuilt the edge and
+    rank arrays on every call."""
+    image = family.table[family._row(cutoff)]
+    if (v := _first(image < 0)) is not None:
+        try:
+            family.retract(cutoff, v)
+        except NontotalRetractionError as err:
+            return CheckResult(False, where=(cutoff, err.vertex), detail=str(err))
+    ranks = np.array([family.order.rank_of(v) for v in G.vertices()])
+    in_target = ranks < cutoff if family.flavor == "constructing" else ranks >= cutoff
+    if (v := _first(~in_target[image])) is not None:
+        return CheckResult(False, where=v, detail=f"image of {v} misses the target region")
+    if (h := _first(in_target & (image != np.arange(G.order)))) is not None:
+        return CheckResult(False, where=h, detail=f"target vertex {h} moved to {image[h]}")
+    edges = np.array(list(G.edges()), dtype=np.intp).reshape(-1, 2)
+    if (i := _first(~G.adjacency_matrix()[image[edges[:, 0]], image[edges[:, 1]]])) is not None:
+        u, v = edges[i].tolist()
+        return CheckResult(
+            False, where=(cutoff, u, v), detail=f"cutoff {cutoff}: edge ({u},{v}) maps to non-edge"
+        )
+    return CheckResult(True)
+
+
+def _rebuilt_shift_check(G, family, cutoffs=None):
+    """check_shifted_edge_property as first written, rebuilding the edge
+    array on every call."""
+    if cutoffs is None:
+        cons = family.flavor == "constructing"
+        cutoffs = range(1, G.order) if cons else range(0, family.max_total_cutoff())
+    cutoffs = list(cutoffs)
+    edges = np.array(list(G.edges()), dtype=np.intp).reshape(-1, 2)
+    a, b = edges.reshape(-1), edges[:, ::-1].reshape(-1)
+    adj = G.adjacency_matrix()
+    for k in cutoffs if len(a) else ():
+        try:
+            pa, pb = family.table[family._row(k + 1)][a], family.table[family._row(k)][b]
+        except ValueError:
+            i = 0
+        else:
+            i = _first((pa < 0) | (pb < 0) | ~adj[pa, pb])
+        if i is None:
+            continue
+        u, v = int(a[i]), int(b[i])
+        try:
+            pu, pv = family.retract(k + 1, u), family.retract(k, v)
+        except NontotalRetractionError as err:
+            return CheckResult(False, where=(k, u, v), detail=str(err))
+        detail = f"cutoff {k}: edge ({u},{v}) shifts to non-edge ({pu},{pv})"
+        return CheckResult(False, where=(k, u, v), detail=detail)
+    return CheckResult(True, where=tuple(cutoffs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 10_000),
+    st.sampled_from(ORDER_KINDS),
+    st.randoms(use_true_random=False),
+)
+def test_checkers_match_the_rebuilt_arrays_on_mutated_tables(n, seed, kind, rng):
+    # The checkers read the graph's cached edge array and the family's
+    # cached ranks; the first failure they report, and every error, is
+    # the one the per-call arrays gave, while the table changes between
+    # calls.
+    G, fam = _family_of_kind(n, seed, kind, rng)
+    for _ in range(3):
+        for k in range(-1, n + 2):
+            got = _outcome(check_family_retraction, G, fam, k)
+            assert got == _outcome(_rebuilt_family_check, G, fam, k), k
+        for cutoffs in (None, range(-1, n + 1)):
+            got = _outcome(check_shifted_edge_property, G, fam, cutoffs)
+            assert got == _outcome(_rebuilt_shift_check, G, fam, cutoffs)
+        table = fam.table.copy()
+        for _ in range(rng.randrange(1, 4)):
+            table[rng.randrange(n + 1), rng.randrange(n)] = rng.randrange(-1, n)
+        fam.table = table
 
 
 def test_dominator_outside_the_graph_fails_only_past_it():

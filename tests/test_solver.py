@@ -6,13 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from pursuit import (
     ChainPursuitCop,
+    DismantlingPursuitCop,
+    InvalidOrderError,
+    Order,
+    PrefixRecursiveCop,
     ProtectiveCop,
     ProtectiveContradictionError,
+    PursuitError,
     RetractionFamily,
+    StrategyInapplicableError,
     TableCop,
+    TimingProfile,
     adversarial_search,
     decide_cop_win,
     estimate_timing,
+    find_dismantling_order,
     find_dominating_order,
     is_cop_win,
     naturalize_order,
@@ -371,6 +379,33 @@ def test_memo_search_matches_the_reference_search_on_cycles(G):
             assert got.value is expect, (h, window)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_connected_graphs(), st.data())
+def test_survival_dp_matches_the_memo_search_at_small_horizons(G, data):
+    # Below horizon 2 the game is the placement: every allowed cop start
+    # must leave an allowed robber start elsewhere. A window of h + 1
+    # never binds.
+    subsets = st.sets(st.sampled_from(range(G.order)))
+    forbidden = sorted(data.draw(subsets, label="forbidden"))
+    cop_forbidden = sorted(data.draw(subsets, label="cop_forbidden"))
+    for h in range(4):
+        dp = adversarial_search(G, h, forbidden=forbidden, cop_forbidden=cop_forbidden, budget=None)
+        memo = adversarial_search(G, h, forbidden=forbidden, cop_forbidden=cop_forbidden,
+                                  revisit_window=h + 1, budget=None)
+        assert dp.value is memo.value, h
+
+
+def test_survival_dp_placement_rule_pinned():
+    P3 = path_graph(3)
+    for h in range(4):
+        # the robber's only start, 2, is closed to the cop
+        assert adversarial_search(P3, h, forbidden=[0, 1], cop_forbidden=[2]).value is True
+        # a cop started at 2 leaves the robber nowhere to start
+        assert adversarial_search(P3, h, forbidden=[0, 1]).value is False
+        # with every cop start forbidden the robber wins by default
+        assert adversarial_search(P3, h, forbidden=[0, 1, 2], cop_forbidden=[0, 1, 2]).value is True
+
+
 @pytest.mark.parametrize("name, G, h, window, cop", [
     ("C5_window3", cycle_graph(5), 12, 3, None),
     ("C6_window3", cycle_graph(6), 8, 3, None),
@@ -445,8 +480,14 @@ def test_non_protective_profile_raises():
 
 
 def test_protective_roundtrip_on_samples():
-    for seed in range(8):
-        G, shipped = random_constructible(10, 900 + seed)
+    samples = [random_constructible(10, 900 + seed) for seed in range(8)]
+    samples += [(G, find_dominating_order(G)) for G in (
+        path_graph(200),
+        random_constructible(120, 41)[0],
+        leafless_tree_ball(3, 6).graph,
+        ball(wheel_tree(), 5).graph,
+    )]
+    for G, shipped in samples:
         order, _ = naturalize_order(G, shipped)
         fam = RetractionFamily(G, order)
         prof = estimate_timing(G, ProtectiveCop(fam), horizon=4 * G.order)
@@ -490,6 +531,167 @@ def test_timing_profiles_pinned():
     cut = _protective_profile(G, order, 48, budget=5)
     assert cut.truncated and cut.cop_latest_first_arrival is None
     assert cut.rob_latest == (-1,) * 12 and cut.cop_earliest == (0,) + (-1,) * 11
+
+
+# -- the per-state walk as a reference oracle for the timing walk -----------
+
+
+def _ref_reach(G, cop, horizon, budget=None, target=None):
+    """The timing walk as first written: the same set walk, calling
+    ``cop.move`` once per state and cop round."""
+    n = G.order
+    rob_latest = [-1] * n
+    cop_earliest = [-1] * n
+    c0 = cop.start(G)
+    cop_earliest[c0] = 0
+    if c0 == target:
+        return tuple(rob_latest), tuple(cop_earliest), False, 0
+    layer = {(c0, r0) for r0 in range(n) if r0 != c0}
+    nbhds = G.closed_neighborhoods()
+    truncated = False
+    arrival = -1
+    t = 1
+    while t <= horizon and layer:
+        if budget is not None and len(layer) > budget:
+            truncated = True
+            break
+        if t == horizon:
+            break
+        nxt = set()
+        if t % 2 == 1:
+            for c, r in layer:
+                m = cop.move(G, c, r, t + 1)
+                if cop_earliest[m] < 0:
+                    cop_earliest[m] = t + 1
+                if m == target:
+                    arrival = t + 1
+                elif m != r:
+                    rob_latest[r] = t
+                    nxt.add((m, r))
+        else:
+            for c, r in layer:
+                rob_latest[r] = t
+                nxt.update((c, rp) for rp in nbhds[r] if rp != c)
+        layer = nxt
+        t += 1
+    if layer:
+        arrival = -1
+    return tuple(rob_latest), tuple(cop_earliest), truncated, arrival
+
+
+def _ref_timing(G, cop, horizon, budget=None, worst_arrival=False):
+    rob_latest, cop_earliest, truncated, _ = _ref_reach(G, cop, horizon, budget)
+    worst = None
+    if worst_arrival:
+        worst = tuple(_ref_reach(G, cop, horizon, target=v)[3] for v in range(G.order))
+    return TimingProfile(rob_latest, cop_earliest, horizon, truncated, worst)
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except Exception as err:  # noqa: BLE001 - the exception is the result
+        return (type(err).__name__, str(err))
+
+
+def _assert_timing_matches_the_reference(G, cop, horizon, budget=None, worst_arrival=False):
+    got = _outcome(estimate_timing, G, cop, horizon, budget=budget, worst_arrival=worst_arrival)
+    assert got == _outcome(_ref_timing, G, cop, horizon, budget, worst_arrival)
+    return got
+
+
+COP_KINDS = ("protective", "chain", "recursive", "dismantling", "table")
+
+
+def _cop_of_kind(kind, G, order, when_stuck="error"):
+    if kind == "table":
+        return TableCop(decide_cop_win(G))
+    if kind == "recursive":
+        return PrefixRecursiveCop(order)
+    family = RetractionFamily(G, order)
+    if kind == "protective":
+        return ProtectiveCop(family)
+    if kind == "dismantling":
+        return DismantlingPursuitCop(family)
+    return ChainPursuitCop(family, when_stuck=when_stuck)
+
+
+@st.composite
+def _graphs_and_cops(draw, max_n):
+    """A Hypothesis graph, cop-win or not, and a cop of every kind. Cops
+    that need an order get the peel's order or a random one: a shuffled
+    sequence with random dominator entries, which may break its chains."""
+    G = draw(_connected_graphs(max_n))
+    n = G.order
+    kind = draw(st.sampled_from(COP_KINDS), label="kind")
+    flavor = {"protective": "constructing", "dismantling": "dismantling"}.get(kind)
+    if flavor is None:
+        flavor = draw(st.sampled_from(["constructing", "dismantling"]), label="flavor")
+    order = (find_dominating_order if flavor == "constructing" else find_dismantling_order)(G)
+    if order is None or draw(st.booleans(), label="random order"):
+        vertex = st.integers(0, n - 1)
+        dom = dict(order.dominator) if order else {}
+        dom.update(draw(st.dictionaries(vertex, vertex, max_size=n), label="dominators"))
+        seq = draw(st.permutations(order.sequence if order else range(n)), label="sequence")
+        order = Order(tuple(seq), dom, flavor)
+    when_stuck = draw(st.sampled_from(["error", "stay"]), label="when_stuck")
+    return G, _cop_of_kind(kind, G, order, when_stuck)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graphs_and_cops(max_n=10), st.data())
+def test_timing_walk_matches_the_reference_walk(case, data):
+    G, cop = case
+    horizon = data.draw(st.integers(0, 3 * G.order), label="horizon")
+    budget = data.draw(st.none() | st.integers(0, G.order ** 2), label="budget")
+    worst = data.draw(st.booleans(), label="worst_arrival")
+    _assert_timing_matches_the_reference(G, cop, horizon, budget, worst)
+
+
+@pytest.mark.parametrize("kind", COP_KINDS)
+def test_timing_walk_matches_the_reference_walk_on_constructible_graphs(kind):
+    for n, seed in ((12, 5), (24, 6), (40, 7)):
+        G, shipped = random_constructible(n, seed)
+        order, _ = naturalize_order(G, shipped)
+        if kind == "dismantling":
+            order = find_dismantling_order(G)
+        cop = _cop_of_kind(kind, G, order)
+        for budget in (None, n, 4 * n):
+            got = _assert_timing_matches_the_reference(G, cop, 4 * n, budget, n == 12)
+            assert got[0] == "ok"
+
+
+def test_timing_walk_raises_what_the_reference_walk_raises():
+    # broken chains leave -1 entries in the protective cop's table rows
+    P4 = path_graph(4)
+    for dominator, error in (
+        ({1: 0, 2: 3, 3: 2}, "dominator cycle through vertex"),
+        ({1: 0, 3: 2}, "never drops below rank"),
+    ):
+        cop = ProtectiveCop(RetractionFamily(P4, Order((0, 1, 2, 3), dominator, "constructing")))
+        got = _assert_timing_matches_the_reference(P4, cop, 16)
+        assert got[0] == InvalidOrderError.__name__ and error in got[1]
+    # chain pursuit on a dismantling order, whose chains run upwards
+    P5 = path_graph(5)
+    cop = ChainPursuitCop(RetractionFamily(P5, find_dismantling_order(P5)))
+    got = _assert_timing_matches_the_reference(P5, cop, 20)
+    assert got[0] == StrategyInapplicableError.__name__
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graphs_and_cops(max_n=9))
+def test_accepted_protective_profiles_come_from_cop_win_graphs(case):
+    # Whatever cop made the profile, an order recovered from it is a
+    # dominating order, so the graph is cop-win.
+    G, cop = case
+    try:
+        profile = estimate_timing(G, cop, 4 * G.order)
+        recovered = order_from_protective(G, profile)
+    except PursuitError:  # a rule undefined on its order, or a profile refused
+        return
+    assert is_cop_win(G)
+    assert verify_dominating_order(G, recovered)
 
 
 # -- checks from the game's theory at sizes the loop oracle cannot reach ----
