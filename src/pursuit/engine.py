@@ -70,6 +70,15 @@ def default_horizon(G: Graph, cop) -> int:
     return 10 * G.order * depth
 
 
+def _legal(G: Graph, here: int | None, v) -> bool:
+    """The move rule of :func:`play` and :func:`replay`: ``v`` is a plain
+    int (no bool or NumPy scalar, so transcripts write as JSON ints) naming
+    a vertex of G, placed (``here`` None) or inside N[``here``]."""
+    if type(v) is not int or not 0 <= v < G.order:
+        return False
+    return here is None or bool(G.closed_masks()[here] >> v & 1)
+
+
 def play(cfg: GameConfig) -> Transcript:
     """Run one game to capture, horizon, or abort. Pure given the arena,
     the strategies, the starts, and the horizon."""
@@ -85,11 +94,13 @@ def play(cfg: GameConfig) -> Transcript:
     visits = [0] * n
 
     c = cfg.cop.start(G)
-    G._check(c)
+    if not _legal(G, None, c):
+        raise ValueError(f"unknown vertex {c!r}")
     moves.append((0, "cop", c))
 
     r = cfg.robber.start(G, c)
-    G._check(r)
+    if not _legal(G, None, r):
+        raise ValueError(f"unknown vertex {r!r}")
     moves.append((1, "robber", r))
     visits[r] += 1
 
@@ -109,8 +120,8 @@ def play(cfg: GameConfig) -> Transcript:
             outcome = Outcome("fault", t, f"{mover}: {err}")
             break
         here = c if mover == "cop" else r
-        if m not in G.neighbors(here):
-            outcome = Outcome("fault", t, f"{mover}: illegal move {here} -> {m}")
+        if not _legal(G, here, m):
+            outcome = Outcome("fault", t, f"{mover}: illegal move {here} -> {m!r}")
             break
         moves.append((t, mover, m))
         if mover == "cop":
@@ -209,7 +220,7 @@ def replay(G: Graph, moves, outcome: Outcome, visit_counts) -> None:
             raise GraphFormatError(
                 f"transcript move {i} is round {t} {player}, expected round {i} {mover}"
             )
-        if not (isinstance(v, int) and 0 <= v < n):
+        if not _legal(G, None, v):
             raise GraphFormatError(
                 f"transcript round {t}: {player} at vertex {v!r}, not in the {n}-vertex graph"
             )
@@ -217,7 +228,7 @@ def replay(G: Graph, moves, outcome: Outcome, visit_counts) -> None:
             raise GraphFormatError(
                 f"transcript round {t}: move after the capture at round {captured}"
             )
-        if player in at and v not in G.neighbors(at[player]):
+        if player in at and not _legal(G, at[player], v):
             raise GraphFormatError(
                 f"transcript round {t}: {player} moves {at[player]} -> {v}, not an edge"
             )

@@ -67,7 +67,8 @@ class GameTable:
         if safe:
             return min(safe)
         candidates = [r for r in range(n) if r != c0]
-        return max(candidates, key=lambda r: (int(self.cop_dist[c0, r]), -r))
+        # on one vertex the robber can only start on the cop
+        return max(candidates, key=lambda r: (int(self.cop_dist[c0, r]), -r), default=c0)
 
     def robber_move(self, c: int, r: int) -> int:
         """Optimal robber move: safe if possible, else maximal delay."""
@@ -98,7 +99,7 @@ class SearchResult:
     """value: True (robber guarantees the objective), False (cannot), or
     None (budget exceeded -- inconclusive, deliberately distinct from
     False). witness: a :class:`SurviveWitness` when the survival DP finds
-    the robber surviving; the windowed and fixed-cop searches return none.
+    the robber surviving; the windowed memo search returns none.
     explored: states (memo search) or layer cells (survival DP) computed."""
 
     value: bool | None
@@ -161,14 +162,14 @@ def _survive_search(
 
 class _MemoSearch:
     """Exact minimax with objective memory (visited set + fresh-move
-    streak) and an optional fixed cop strategy. Tri-state values: True,
+    streak) for the revisit-window objective. Tri-state values: True,
     False, or None once the state budget is exhausted.
 
     ``visited`` is an int bitmask (bit v set once the robber has stood on
     v). Each player's options at a vertex are its sorted closed
     neighbourhood, filtered once by the vertices that player may use."""
 
-    def __init__(self, G, horizon, allowed, cop_allowed, window, cop, budget):
+    def __init__(self, G, horizon, allowed, cop_allowed, window, budget):
         nbhds = G.closed_neighborhoods()
         self.G = G
         self.h = horizon
@@ -177,18 +178,15 @@ class _MemoSearch:
         self.cop_options = [[x for x in N if cop_allowed[x]] for N in nbhds]
         self.robber_options = [[x for x in N if allowed[x]] for N in nbhds]
         self.window = window
-        self.cop = cop
         self.budget = budget
         self.memo = {}
 
     def run(self):
         n = self.G.order
-        if self.cop is not None:
-            starts = [self.cop.start(self.G)]
-        else:
-            starts = [c for c in range(n) if self.cop_allowed[c]]
         verdict = True
-        for c0 in starts:
+        for c0 in range(n):
+            if not self.cop_allowed[c0]:
+                continue
             got = False
             unknown = False
             for r0 in range(n):
@@ -218,10 +216,7 @@ class _MemoSearch:
         memo[key] = None  # entered: the budget counts this state from here on
         last = t == self.h  # every child is past the horizon, so True
         if t % 2 == 0:
-            if self.cop is not None:
-                cp = self.cop.move(self.G, c, r, t)
-                out = False if cp == r else self._value(t + 1, cp, r, visited, streak)
-            elif r in self.cop_options[c]:
+            if r in self.cop_options[c]:
                 out = False  # capture: no other cop move can do better
             elif last:
                 out = True
@@ -244,7 +239,7 @@ class _MemoSearch:
                     nv, ns = visited, 0
                 else:
                     ns = streak + 1
-                    if window is not None and ns >= window:
+                    if ns >= window:
                         continue  # w fresh moves in a row: window violated
                     nv = visited | 1 << rp
                 v = True if last else self._value(t + 1, c, rp, nv, ns)
@@ -264,17 +259,17 @@ def adversarial_search(
     forbidden=(),
     cop_forbidden=(),
     revisit_window: int | None = None,
-    cop=None,
     budget: int | None = 2_000_000,
 ) -> SearchResult:
     """Can the robber guarantee survival (optionally avoiding ``forbidden``
     vertices, optionally revisiting at least once in every window of
-    ``revisit_window`` consecutive moves) up to ``horizon``?
+    ``revisit_window`` consecutive moves) up to ``horizon``, against every
+    cop that never occupies a vertex of ``cop_forbidden``?
 
-    Quantifies over every cop behaviour unless ``cop`` fixes a strategy;
-    ``cop_forbidden`` restricts the quantification to cops that never
-    occupy the given vertices. Exact within the budget; exceeding it
-    yields an inconclusive result.
+    Without a window this is the survival DP; with one, the memo search.
+    Exact within the budget; exceeding it yields an inconclusive result.
+    Survival against one fixed cop is read off its timing profile
+    (:func:`estimate_timing`).
     """
     allowed = np.ones(G.order, dtype=np.bool_)
     for v in forbidden:
@@ -282,12 +277,9 @@ def adversarial_search(
     cop_allowed = np.ones(G.order, dtype=np.bool_)
     for v in cop_forbidden:
         cop_allowed[v] = False
-    if cop is not None and tuple(cop_forbidden):
-        raise ValueError("cop_forbidden only applies when quantifying over all cops")
-    if revisit_window is None and cop is None:
+    if revisit_window is None:
         return _survive_search(G, horizon, allowed, cop_allowed, budget)
-    search = _MemoSearch(G, horizon, allowed, cop_allowed, revisit_window, cop, budget)
-    return search.run()
+    return _MemoSearch(G, horizon, allowed, cop_allowed, revisit_window, budget).run()
 
 
 # -- timing profiles ---------------------------------------------------------
@@ -308,7 +300,6 @@ class TimingProfile:
     cop_earliest: tuple[int, ...]
     horizon: int
     truncated: bool = False
-    cop_latest_first_arrival: tuple | None = None
 
     def to_text(self) -> str:
         lines = [f"horizon {self.horizon}"]
@@ -317,45 +308,24 @@ class TimingProfile:
         return "\n".join(lines) + "\n"
 
 
-def estimate_timing(
-    G: Graph,
-    cop,
-    horizon: int,
-    *,
-    budget: int | None = None,
-    worst_arrival: bool = False,
-) -> TimingProfile:
+def estimate_timing(G: Graph, cop, horizon: int, *, budget: int | None = None) -> TimingProfile:
     """Exact forward reachability of (cop, robber) states against the
-    fixed strategy ``cop``, branching over all robber behaviours."""
-    rob_latest, cop_earliest, truncated, _ = _reach(G, cop, horizon, budget)
-    worst = None
-    if worst_arrival:
-        worst = tuple(_reach(G, cop, horizon, target=v)[3] for v in range(G.order))
-    return TimingProfile(rob_latest, cop_earliest, horizon, truncated, worst)
+    fixed strategy ``cop``, branching over all robber behaviours.
 
-
-def _reach(G: Graph, cop, horizon: int, budget: int | None = None, target=None):
-    """Walk the layers of uncaptured (cop, robber) states, one per round
-    up to ``horizon``, asking ``cop.rule`` once per cop round for the
-    move function it then calls on every state.
-
-    Returns ``(rob_latest, cop_earliest, truncated, arrival)``: the first
-    two as in :class:`TimingProfile`; ``truncated`` when a layer outgrew
-    ``budget`` and stopped the walk; ``arrival`` the cop's latest first
-    arrival at ``target`` over robber behaviours (a play ends on arrival),
-    or -1 if some play avoids ``target`` within the horizon.
-    """
+    Walks the layers of uncaptured states, one per round up to
+    ``horizon``, asking ``cop.rule`` once per cop round for the move
+    function it then calls on every state. A layer that outgrows
+    ``budget`` stops the walk and marks the profile truncated."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be at least 0, got {horizon}")
     n = G.order
     rob_latest = [-1] * n
     cop_earliest = [-1] * n
     c0 = cop.start(G)
     cop_earliest[c0] = 0
-    if c0 == target:
-        return tuple(rob_latest), tuple(cop_earliest), False, 0
     layer = {(c0, r0) for r0 in range(n) if r0 != c0}
     nbhds = G.closed_neighborhoods()
     truncated = False
-    arrival = -1
     t = 1
     while t <= horizon and layer:
         if budget is not None and len(layer) > budget:
@@ -370,9 +340,7 @@ def _reach(G: Graph, cop, horizon: int, budget: int | None = None, target=None):
                 m = move(c, r)
                 if cop_earliest[m] < 0:
                     cop_earliest[m] = t + 1
-                if m == target:
-                    arrival = t + 1
-                elif m != r:
+                if m != r:
                     rob_latest[r] = t
                     nxt.add((m, r))
         else:  # the robber, not captured, survives round t + 1 by staying
@@ -381,9 +349,7 @@ def _reach(G: Graph, cop, horizon: int, budget: int | None = None, target=None):
                 nxt.update((c, rp) for rp in nbhds[r] if rp != c)
         layer = nxt
         t += 1
-    if layer:
-        arrival = -1
-    return tuple(rob_latest), tuple(cop_earliest), truncated, arrival
+    return TimingProfile(tuple(rob_latest), tuple(cop_earliest), horizon, truncated)
 
 
 def order_from_protective(G: Graph, profile: TimingProfile) -> Order:

@@ -189,6 +189,29 @@ def test_timing_and_recovery(tmp_path, capsys):
     assert "recovered" in out
 
 
+def test_timing_rejects_a_negative_horizon(tmp_path, capsys):
+    prefix = str(tmp_path / "p4")
+    run("generate", "--family", "path", "--n", "4", "--out", prefix)
+    capsys.readouterr()
+    timing = ("timing", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order",
+              "--cop", "protective")
+    for extra in ((), ("--recover-order",)):
+        assert run(*timing, "--horizon", "-3", *extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: horizon must be at least 0, got -3\n"
+    assert run(*timing, "--horizon", "0") == 0  # 0 is the default, 4n
+    assert capsys.readouterr().out.startswith("horizon 16\n")
+
+
+def test_adversarial_robber_on_one_vertex(tmp_path, capsys):
+    graph = tmp_path / "one.graph"
+    graph.write_text("1\n")
+    assert run("simulate", "--graph", str(graph), "--cop", "optimal",
+               "--robber", "adversarial") == 0
+    assert capsys.readouterr().out == "capture at round 1\n"
+
+
 def test_dismantable_cop_finds_its_own_order(tmp_path, capsys):
     prefix = str(tmp_path / "p4")
     run("generate", "--family", "path", "--n", "4", "--out", prefix)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pursuit import (
@@ -27,6 +28,7 @@ from pursuit import (
 from pursuit.engine import (
     Outcome,
     Transcript,
+    replay,
     transcript_from_json,
     transcript_to_json,
     transcript_to_text,
@@ -99,6 +101,50 @@ def test_fault_on_illegal_scripted_move():
     assert T.outcome.kind == "fault" and "robber" in T.outcome.detail
     with pytest.raises(TranscriptFaultError):
         evaluate_classic(T)
+
+
+class _Answer:
+    """Starts on 2, then answers every cop move with ``vertex``, legal or
+    not."""
+
+    def __init__(self, vertex, start=2):
+        self.vertex = vertex
+        self.start_vertex = start
+
+    def start(self, G, c):
+        return self.start_vertex
+
+    def move(self, G, c, r):
+        return self.vertex
+
+
+_C4 = cycle_graph(4)
+_C4_TABLE = decide_cop_win(_C4)
+
+
+# The table cop starts on 0 and steps to 1 in round 2, beside the robber on 2.
+@pytest.mark.parametrize("robber, outcome", [
+    (TableRobber(_C4_TABLE), ("horizon", None, "")),
+    (_Answer(1), ("capture", 3, "")),
+    (_Answer(0), ("fault", 3, "robber: illegal move 2 -> 0")),
+    (_Answer(9), ("fault", 3, "robber: illegal move 2 -> 9")),
+    (_Answer(np.int64(1)), ("fault", 3, f"robber: illegal move 2 -> {np.int64(1)!r}")),
+    (_Answer(True), ("fault", 3, "robber: illegal move 2 -> True")),
+    (ScriptedRobber([2, 0]), ("fault", 3, "robber: scripted move 2 -> 0 is illegal")),
+], ids=["table", "legal_int", "illegal_int", "off_graph_int", "numpy_int", "bool",
+        "script_error"])
+def test_played_transcripts_survive_json_and_replay(robber, outcome):
+    T = play(GameConfig(_C4, TableCop(_C4_TABLE), robber, max_rounds=12))
+    assert (T.outcome.kind, T.outcome.round, T.outcome.detail) == outcome
+    again = transcript_from_json(transcript_to_json(T))
+    assert again == T
+    replay(_C4, again.moves, again.outcome, again.visit_counts)
+
+
+@pytest.mark.parametrize("start", [np.int64(2), True, 4])
+def test_starts_must_be_plain_int_vertices(start):
+    with pytest.raises(ValueError, match="unknown vertex"):
+        play(GameConfig(_C4, TableCop(_C4_TABLE), _Answer(1, start=start), max_rounds=12))
 
 
 def test_weak_oscillation_counted():

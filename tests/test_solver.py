@@ -278,25 +278,20 @@ class _RefMemoSearch:
     sets as frozensets, neighbourhoods sorted on every visit, and every cop
     move explored in order, captures included. Exact; no budget."""
 
-    def __init__(self, G, horizon, forbidden, cop_forbidden, window, cop):
+    def __init__(self, G, horizon, forbidden, cop_forbidden, window):
         self.G = G
         self.h = horizon
         self.allowed = [v not in forbidden for v in G.vertices()]
         self.cop_allowed = [v not in cop_forbidden for v in G.vertices()]
         self.window = window
-        self.cop = cop
         self.memo = {}
 
     def run(self):
         n = self.G.order
-        if self.cop is not None:
-            starts = [self.cop.start(self.G)]
-        else:
-            starts = [c for c in range(n) if self.cop_allowed[c]]
         return all(
             any(self._value(2, c0, r0, frozenset([r0]), 0)
                 for r0 in range(n) if r0 != c0 and self.allowed[r0])
-            for c0 in starts
+            for c0 in range(n) if self.cop_allowed[c0]
         )
 
     def _value(self, t, c, r, visited, streak):
@@ -306,17 +301,13 @@ class _RefMemoSearch:
         if key in self.memo:
             return self.memo[key]
         if t % 2 == 0:
-            if self.cop is not None:
-                cp = self.cop.move(self.G, c, r, t)
-                out = cp != r and self._value(t + 1, cp, r, visited, streak)
-            else:
-                out = True
-                for cp in sorted(self.G.neighbors(c)):
-                    if not self.cop_allowed[cp]:
-                        continue
-                    if cp == r or not self._value(t + 1, cp, r, visited, streak):
-                        out = False
-                        break
+            out = True
+            for cp in sorted(self.G.neighbors(c)):
+                if not self.cop_allowed[cp]:
+                    continue
+                if cp == r or not self._value(t + 1, cp, r, visited, streak):
+                    out = False
+                    break
         else:
             out = False
             for rp in sorted(self.G.neighbors(r)):
@@ -326,7 +317,7 @@ class _RefMemoSearch:
                     nv, ns = visited, 0
                 else:
                     ns = streak + 1
-                    if self.window is not None and ns >= self.window:
+                    if ns >= self.window:
                         continue
                     nv = visited | {rp}
                 if self._value(t + 1, c, rp, nv, ns):
@@ -348,21 +339,15 @@ def _connected_graphs(draw, max_n=8):
 @settings(max_examples=80, deadline=None)
 @given(_connected_graphs(), st.data())
 def test_memo_search_matches_the_reference_search(G, data):
-    # A fixed cop may go without a window; with neither, the search is the
-    # survival DP.
     subsets = st.sets(st.sampled_from(range(G.order)))
     horizon = data.draw(st.integers(0, 10), label="horizon")
     forbidden = data.draw(subsets, label="forbidden")
-    if data.draw(st.booleans(), label="table cop"):
-        cop, cop_forbidden = TableCop(decide_cop_win(G)), set()
-        window = data.draw(st.sampled_from([1, 2, 3, 4, None]), label="window")
-    else:
-        cop, cop_forbidden = None, data.draw(subsets, label="cop_forbidden")
-        window = data.draw(st.integers(1, 4), label="window")
-    expect = _RefMemoSearch(G, horizon, forbidden, cop_forbidden, window, cop).run()
+    cop_forbidden = data.draw(subsets, label="cop_forbidden")
+    window = data.draw(st.integers(1, 4), label="window")
+    expect = _RefMemoSearch(G, horizon, forbidden, cop_forbidden, window).run()
     got = adversarial_search(
         G, horizon, forbidden=sorted(forbidden), cop_forbidden=sorted(cop_forbidden),
-        revisit_window=window, cop=cop, budget=None,
+        revisit_window=window, budget=None,
     )
     assert got.value is expect
 
@@ -374,7 +359,7 @@ def test_memo_search_matches_the_reference_search_on_cycles(G):
     # small random graphs rarely do.
     for h in range(2, 13):
         for window in (1, 2, 3, 4):
-            expect = _RefMemoSearch(G, h, (), (), window, None).run()
+            expect = _RefMemoSearch(G, h, (), (), window).run()
             got = adversarial_search(G, h, revisit_window=window, budget=None)
             assert got.value is expect, (h, window)
 
@@ -406,17 +391,14 @@ def test_survival_dp_placement_rule_pinned():
         assert adversarial_search(P3, h, forbidden=[0, 1, 2], cop_forbidden=[0, 1, 2]).value is True
 
 
-@pytest.mark.parametrize("name, G, h, window, cop", [
-    ("C5_window3", cycle_graph(5), 12, 3, None),
-    ("C6_window3", cycle_graph(6), 8, 3, None),
-    ("C4_table_cop", cycle_graph(4), 20, None, TableCop(decide_cop_win(cycle_graph(4)))),
-])
-def test_memo_budget_counts_states_entered(name, G, h, window, cop):
-    full = adversarial_search(G, h, revisit_window=window, cop=cop, budget=None)
+@pytest.mark.parametrize("G, h, window", [(cycle_graph(5), 12, 3), (cycle_graph(6), 8, 3)],
+                         ids=["C5_window3", "C6_window3"])
+def test_memo_budget_counts_states_entered(G, h, window):
+    full = adversarial_search(G, h, revisit_window=window, budget=None)
     assert full.value is not None and full.explored > 0
-    assert adversarial_search(G, h, revisit_window=window, cop=cop, budget=0).value is None
+    assert adversarial_search(G, h, revisit_window=window, budget=0).value is None
     for budget in range(full.explored + 3):
-        cut = adversarial_search(G, h, revisit_window=window, cop=cop, budget=budget)
+        cut = adversarial_search(G, h, revisit_window=window, budget=budget)
         assert cut.explored <= budget
         if budget >= full.explored:
             assert (cut.value, cut.explored) == (full.value, full.explored)
@@ -425,14 +407,18 @@ def test_memo_budget_counts_states_entered(name, G, h, window, cop):
 
 
 def test_fixed_cop_search():
-    # against the fixed optimal cop on a path, the robber cannot survive
+    # Some robber play survives a fixed cop through round h >= 2 exactly
+    # when the profile has a robbed round h - 1. Against the optimal cop
+    # on P5 the last one is round 2, whatever the horizon; on C4 the
+    # robber lasts every horizon.
     P5 = path_graph(5)
     cop = TableCop(decide_cop_win(P5))
-    assert adversarial_search(P5, 60, cop=cop).value is False
-    # but on C4 he can
+    for h in (59, 60):
+        assert max(estimate_timing(P5, cop, h).rob_latest) == 2
     C4 = cycle_graph(4)
     cop4 = TableCop(decide_cop_win(C4))
-    assert adversarial_search(C4, 60, cop=cop4).value is True
+    for h in (59, 60):
+        assert max(estimate_timing(C4, cop4, h).rob_latest) == h - 1
 
 
 def test_timing_single_vertex():
@@ -446,6 +432,14 @@ def test_timing_single_vertex():
     assert rec.sequence == (0,)
 
 
+def test_timing_rejects_a_negative_horizon():
+    P3 = path_graph(3)
+    cop = TableCop(decide_cop_win(P3))
+    with pytest.raises(ValueError, match="horizon must be at least 0"):
+        estimate_timing(P3, cop, -1)
+    assert estimate_timing(P3, cop, 0).cop_earliest == (-1, 0, -1)
+
+
 def test_timing_p3_protective_profile():
     P3 = path_graph(3)
     from pursuit import Order
@@ -457,18 +451,6 @@ def test_timing_p3_protective_profile():
     assert all(prof.rob_latest[v] <= 2 * v - 1 for v in (1, 2))
     rec = order_from_protective(P3, prof)
     assert rec.sequence == (0, 1, 2)
-
-
-def test_timing_worst_arrival_diagnostic():
-    P3 = path_graph(3)
-    from pursuit import Order
-
-    fam = RetractionFamily(P3, Order((0, 1, 2), {1: 0, 2: 1}, "constructing"))
-    prof = estimate_timing(P3, ProtectiveCop(fam), horizon=12, worst_arrival=True)
-    assert prof.cop_latest_first_arrival is not None
-    worst = prof.cop_latest_first_arrival
-    for v in range(3):
-        assert worst[v] == -1 or worst[v] >= prof.cop_earliest[v]
 
 
 def test_non_protective_profile_raises():
@@ -509,34 +491,31 @@ def _protective_profile(G, order, horizon, **kw):
 
 def test_timing_profiles_pinned():
     P5 = path_graph(5)
-    prof = _protective_profile(P5, find_dominating_order(P5), 20, worst_arrival=True)
+    prof = _protective_profile(P5, find_dominating_order(P5), 20)
     assert prof.rob_latest == (6, 4, 2, -1, -1)
     assert prof.cop_earliest == (8, 6, 4, 2, 0)
-    assert prof.cop_latest_first_arrival == (8, 6, 4, 2, 0)
     assert not prof.truncated
 
     G, shipped = random_constructible(12, 5)
     order, _ = naturalize_order(G, shipped)
-    prof = _protective_profile(G, order, 48, worst_arrival=True)
+    prof = _protective_profile(G, order, 48)
     assert prof.rob_latest == (-1, -1, 4, 12, 2, 6, 8, 16, 18, 10, 14, 20)
     assert prof.cop_earliest == (0, 2, 6, 14, 4, 8, 10, 18, 20, 12, 16, 22)
-    assert prof.cop_latest_first_arrival == (0, 10, 6, 22, 4, 8, 10, 20, 22, 12, 16, 22)
     assert not prof.truncated
 
     # a horizon too short to reach every vertex, and a budget the first layer exceeds
-    short = _protective_profile(G, order, 7, worst_arrival=True)
+    short = _protective_profile(G, order, 7)
     assert short.rob_latest == (-1, -1, 4, 6, 2, 6, 6, 6, 6, 6, 6, 6)
     assert short.cop_earliest == (0, 2, 6, -1, 4) + (-1,) * 7
-    assert short.cop_latest_first_arrival == (0,) + (-1,) * 11
     cut = _protective_profile(G, order, 48, budget=5)
-    assert cut.truncated and cut.cop_latest_first_arrival is None
+    assert cut.truncated
     assert cut.rob_latest == (-1,) * 12 and cut.cop_earliest == (0,) + (-1,) * 11
 
 
 # -- the per-state walk as a reference oracle for the timing walk -----------
 
 
-def _ref_reach(G, cop, horizon, budget=None, target=None):
+def _ref_reach(G, cop, horizon, budget=None):
     """The timing walk as first written: the same set walk, calling
     ``cop.move`` once per state and cop round."""
     n = G.order
@@ -544,12 +523,9 @@ def _ref_reach(G, cop, horizon, budget=None, target=None):
     cop_earliest = [-1] * n
     c0 = cop.start(G)
     cop_earliest[c0] = 0
-    if c0 == target:
-        return tuple(rob_latest), tuple(cop_earliest), False, 0
     layer = {(c0, r0) for r0 in range(n) if r0 != c0}
     nbhds = G.closed_neighborhoods()
     truncated = False
-    arrival = -1
     t = 1
     while t <= horizon and layer:
         if budget is not None and len(layer) > budget:
@@ -563,9 +539,7 @@ def _ref_reach(G, cop, horizon, budget=None, target=None):
                 m = cop.move(G, c, r, t + 1)
                 if cop_earliest[m] < 0:
                     cop_earliest[m] = t + 1
-                if m == target:
-                    arrival = t + 1
-                elif m != r:
+                if m != r:
                     rob_latest[r] = t
                     nxt.add((m, r))
         else:
@@ -574,17 +548,7 @@ def _ref_reach(G, cop, horizon, budget=None, target=None):
                 nxt.update((c, rp) for rp in nbhds[r] if rp != c)
         layer = nxt
         t += 1
-    if layer:
-        arrival = -1
-    return tuple(rob_latest), tuple(cop_earliest), truncated, arrival
-
-
-def _ref_timing(G, cop, horizon, budget=None, worst_arrival=False):
-    rob_latest, cop_earliest, truncated, _ = _ref_reach(G, cop, horizon, budget)
-    worst = None
-    if worst_arrival:
-        worst = tuple(_ref_reach(G, cop, horizon, target=v)[3] for v in range(G.order))
-    return TimingProfile(rob_latest, cop_earliest, horizon, truncated, worst)
+    return TimingProfile(tuple(rob_latest), tuple(cop_earliest), horizon, truncated)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -595,9 +559,9 @@ def _outcome(fn, *args, **kwargs):
         return (type(err).__name__, str(err))
 
 
-def _assert_timing_matches_the_reference(G, cop, horizon, budget=None, worst_arrival=False):
-    got = _outcome(estimate_timing, G, cop, horizon, budget=budget, worst_arrival=worst_arrival)
-    assert got == _outcome(_ref_timing, G, cop, horizon, budget, worst_arrival)
+def _assert_timing_matches_the_reference(G, cop, horizon, budget=None):
+    got = _outcome(estimate_timing, G, cop, horizon, budget=budget)
+    assert got == _outcome(_ref_reach, G, cop, horizon, budget)
     return got
 
 
@@ -618,11 +582,26 @@ def _cop_of_kind(kind, G, order, when_stuck="error"):
 
 
 @st.composite
+def _cycle_graphs(draw, max_n):
+    """The Petersen graph, or a cycle C4..C7 with random chords and
+    pendant trees up to ``max_n`` vertices: mostly robber-win graphs,
+    which ``_connected_graphs`` rarely draws."""
+    k = draw(st.sampled_from([4, 5, 6, 7, "petersen"]), label="cycle")
+    if k == "petersen":
+        return petersen_graph()
+    n = draw(st.integers(k, max(k, max_n)), label="n")
+    parents = [draw(st.integers(0, v - 1)) for v in range(k, n)]
+    chords = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=2))
+    edges = [(v, (v + 1) % k) for v in range(k)] + chords
+    return Graph(n, edges + [(p, v) for v, p in enumerate(parents, start=k)])
+
+
+@st.composite
 def _graphs_and_cops(draw, max_n):
     """A Hypothesis graph, cop-win or not, and a cop of every kind. Cops
     that need an order get the peel's order or a random one: a shuffled
     sequence with random dominator entries, which may break its chains."""
-    G = draw(_connected_graphs(max_n))
+    G = draw(_connected_graphs(max_n) | _cycle_graphs(max_n))
     n = G.order
     kind = draw(st.sampled_from(COP_KINDS), label="kind")
     flavor = {"protective": "constructing", "dismantling": "dismantling"}.get(kind)
@@ -645,8 +624,7 @@ def test_timing_walk_matches_the_reference_walk(case, data):
     G, cop = case
     horizon = data.draw(st.integers(0, 3 * G.order), label="horizon")
     budget = data.draw(st.none() | st.integers(0, G.order ** 2), label="budget")
-    worst = data.draw(st.booleans(), label="worst_arrival")
-    _assert_timing_matches_the_reference(G, cop, horizon, budget, worst)
+    _assert_timing_matches_the_reference(G, cop, horizon, budget)
 
 
 @pytest.mark.parametrize("kind", COP_KINDS)
@@ -658,7 +636,7 @@ def test_timing_walk_matches_the_reference_walk_on_constructible_graphs(kind):
             order = find_dismantling_order(G)
         cop = _cop_of_kind(kind, G, order)
         for budget in (None, n, 4 * n):
-            got = _assert_timing_matches_the_reference(G, cop, 4 * n, budget, n == 12)
+            got = _assert_timing_matches_the_reference(G, cop, 4 * n, budget)
             assert got[0] == "ok"
 
 
