@@ -2,7 +2,9 @@
 verification, timing, and an interactive robber mode.
 
 Every subcommand is deterministic given its files, flags, and seeds;
-outputs carry no timestamps.
+outputs carry no timestamps. ``retractions``, ``solver`` and
+``strategies`` load numpy, so only the subcommands that use them import
+them: generate, order and verify (without --retraction) start without it.
 """
 
 from __future__ import annotations
@@ -36,24 +38,15 @@ from .orders import (
     verify_dismantling_order,
     verify_dominating_order,
 )
-from .retractions import RetractionFamily, check_retraction
-from .solver import decide_cop_win, estimate_timing, order_from_protective
-from .strategies import (
-    ChainPursuitCop,
-    CycleEvaderRobber,
-    DismantlingPursuitCop,
-    DistanceGreedyRobber,
-    PrefixRecursiveCop,
-    ProtectiveCop,
-    RayRunnerRobber,
-    ScriptedRobber,
-    StationaryRobber,
-    TableCop,
-    TableRobber,
-)
 
 
 def _build_cop(kind: str, graph: Graph, order):
+    from .retractions import RetractionFamily
+    from .solver import decide_cop_win
+    from .strategies import (
+        ChainPursuitCop, DismantlingPursuitCop, PrefixRecursiveCop, ProtectiveCop, TableCop,
+    )
+
     if kind == "optimal":
         return TableCop(decide_cop_win(graph))
     if order is None:
@@ -79,6 +72,12 @@ def _build_cop(kind: str, graph: Graph, order):
 
 
 def _build_robber(kind: str, graph: Graph):
+    from .solver import decide_cop_win
+    from .strategies import (
+        CycleEvaderRobber, DistanceGreedyRobber, RayRunnerRobber, ScriptedRobber,
+        StationaryRobber, TableRobber,
+    )
+
     if kind == "stationary":
         return StationaryRobber()
     if kind == "greedy":
@@ -137,15 +136,17 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import decide_cop_win
+
     graph = load_graph(args.graph)
     table = decide_cop_win(graph)
     print("cop-win" if table.cop_win else "robber-win")
     if args.table_out:
         with open(args.table_out, "w", encoding="utf-8") as fh:
-            n = graph.order
-            for c in range(n):
-                for r in range(n):
-                    fh.write(f"{c} {r} {table.cop_dist[c, r]} {table.robber_dist[c, r]}\n")
+            cop_dist, robber_dist = table.cop_dist.tolist(), table.robber_dist.tolist()
+            for c in range(graph.order):
+                for r in range(graph.order):
+                    fh.write(f"{c} {r} {cop_dist[c][r]} {robber_dist[c][r]}\n")
     return 0
 
 
@@ -168,6 +169,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.criterion and not args.transcript:
+        raise PursuitError("--criterion needs --transcript")
     graph = load_graph(args.graph)
     order = load_order(args.order) if args.order else None
     failures = []
@@ -184,6 +187,8 @@ def _cmd_verify(args) -> int:
             failures.append("order")
 
     if args.retraction:
+        from .retractions import check_retraction
+
         mapping = _read_vertex_pairs(args.retraction, graph)
         fixed = {v for v in graph.vertices() if mapping.get(v) == v}
         res = check_retraction(graph, mapping, fixed)
@@ -281,6 +286,8 @@ def _read_vertex_pairs(path, graph) -> dict[int, int]:
 
 
 def _cmd_timing(args) -> int:
+    from .solver import estimate_timing, order_from_protective
+
     graph = load_graph(args.graph)
     order = load_order(args.order) if args.order else None
     cop = _build_cop(args.cop, graph, order)

@@ -10,9 +10,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from numbers import Integral
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import GeneratorContractError, GraphFormatError
 
@@ -20,6 +19,9 @@ from .errors import GeneratorContractError, GraphFormatError
 NEIGHBOR_CAP = 100_000
 # Largest vertex count a graph file may declare; far above what n^2 tables solve.
 MAX_FILE_ORDER = 2**20
+
+if TYPE_CHECKING:  # numpy loads only with the array views, so that pure-Python callers skip it
+    import numpy as np
 
 
 class Graph:
@@ -81,7 +83,8 @@ class Graph:
         return range(self._n)
 
     def _check(self, v: int) -> None:
-        if not (isinstance(v, (int, np.integer)) and 0 <= v < self._n):
+        # numpy registers its integer scalars as Integral; plain ints take the fast test
+        if not ((isinstance(v, int) or isinstance(v, Integral)) and 0 <= v < self._n):
             raise ValueError(f"unknown vertex {v!r}")
 
     def adjacent(self, u: int, v: int) -> bool:
@@ -111,6 +114,8 @@ class Graph:
     def edge_array(self) -> np.ndarray:
         """Edges as a cached int (m, 2) array, rows in :meth:`edges` order."""
         if self._edges is None:
+            import numpy as np
+
             self._edges = np.array(list(self.edges()), dtype=np.intp).reshape(-1, 2)
         return self._edges
 
@@ -136,6 +141,8 @@ class Graph:
 
     def distance_matrix(self) -> np.ndarray:
         if self._dist is None:
+            import numpy as np
+
             m = np.empty((self._n, self._n), dtype=np.int32)
             for v in range(self._n):
                 m[v] = self.distances_from(v)
@@ -148,6 +155,8 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean closed-adjacency matrix (diagonal is True)."""
         if self._matrix is None:
+            import numpy as np
+
             m = np.zeros((self._n, self._n), dtype=np.bool_)
             for u in range(self._n):
                 m[u, u] = True

@@ -1,7 +1,13 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pursuit
 from pursuit.cli import _cmd_play, build_parser, main
 
 
@@ -548,3 +554,87 @@ def test_verify_reports_first_differing_annotation(tmp_path, capsys, edit, where
         assert line == (
             f"pursuit invariants: FAIL: chain annotations differ from the moves at round {t}"
         )
+
+
+@pytest.mark.parametrize("criterion", ["classic", "weak", "cweak"])
+def test_verify_criterion_needs_a_transcript(tmp_path, capsys, criterion):
+    # a requested check that never ran must not read as a pass
+    prefix = str(tmp_path / "p")
+    run("generate", "--family", "path", "--n", "4", "--out", prefix)
+    capsys.readouterr()
+    assert run("verify", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order",
+               "--criterion", criterion) == 1
+    assert capsys.readouterr() == ("", "error: --criterion needs --transcript\n")
+
+
+def _fresh_python(code, cwd):
+    """Last stdout line of ``python -c code`` run in a new interpreter."""
+    src = str(Path(pursuit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.fixture(scope="module")
+def path_game(tmp_path_factory):
+    where = tmp_path_factory.mktemp("path_game")
+    run("generate", "--family", "path", "--n", "6", "--out", str(where / "p"))
+    assert run("simulate", "--graph", str(where / "p.graph"), "--order", str(where / "p.order"),
+               "--cop", "s_star", "--robber", "greedy", "--json-out",
+               str(where / "game.json")) == 0
+    return where
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["generate", "--family", "path", "--n", "6", "--out", "q"], False),
+    (["order", "--graph", "p.graph", "--out", "q.order"], False),
+    (["verify", "--graph", "p.graph", "--order", "p.order", "--transcript", "game.json",
+      "--criterion", "weak"], False),
+    (["solve", "--graph", "p.graph"], True),
+], ids=["generate", "order", "verify", "solve"])
+def test_only_kernel_subcommands_load_numpy(path_game, argv, loads_numpy):
+    code = f"import sys, pursuit.cli; assert pursuit.cli.main({argv!r}) == 0; " \
+           "print('numpy' in sys.modules)"
+    assert _fresh_python(code, path_game) == str(loads_numpy)
+
+
+# every name the package exported when it imported all of its modules eagerly
+PUBLIC = {
+    "errors": "CheckResult EngineInvariantError GeneratorContractError GraphFormatError "
+              "InvalidOrderError NontotalRetractionError ProtectiveContradictionError "
+              "PursuitError ScriptError StrategyError StrategyInapplicableError "
+              "StrategyUndefinedError TranscriptFaultError",
+    "graphs": "BallView Graph Induced LazyGraph ball dominates induced_subgraph load_graph "
+              "save_graph",
+    "orders": "Order depth_table find_dismantling_order find_dominating_order load_order "
+              "naturalize_order save_order verify_dismantling_order verify_dominating_order",
+    "retractions": "RetractionFamily check_family_retraction check_retraction "
+                   "check_shifted_edge_property",
+    "strategies": "ChainPursuitCop CycleEvaderRobber DismantlingPursuitCop DistanceGreedyRobber "
+                  "PrefixRecursiveCop ProtectiveCop RayRunnerRobber ScriptedRobber "
+                  "StationaryRobber TableCop TableRobber chain_pursuit_move "
+                  "dismantling_pursuit_move prefix_recursive_move protective_move",
+    "engine": "GameConfig Outcome Transcript check_pursuit_invariants check_shadow "
+              "default_horizon evaluate_classic evaluate_cweak evaluate_weak play replay",
+    "solver": "GameTable SearchResult TimingProfile adversarial_search decide_cop_win "
+              "estimate_timing is_cop_win order_from_protective",
+}
+
+
+def test_public_namespace_resolves_lazily(tmp_path):
+    for module, names in PUBLIC.items():
+        home = importlib.import_module(f"pursuit.{module}")
+        assert getattr(pursuit, module) is home
+        for name in names.split():
+            found = {}
+            exec(f"from pursuit import {name}", found)
+            assert getattr(pursuit, name) is found[name] is getattr(home, name)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pursuit.no_such_name
+    with pytest.raises(ImportError):
+        exec("from pursuit import no_such_name", {})
+    code = "import sys, pursuit; print('numpy' in sys.modules, pursuit.solver.__name__)"
+    assert _fresh_python(code, tmp_path) == "False pursuit.solver"

@@ -83,6 +83,21 @@ def test_dominates_rejects_unknown_vertices():
     assert not dominates(G, np.int64(69), np.int64(68))
 
 
+@pytest.mark.parametrize("v", [1, True, np.int64(1), np.int32(1)])
+def test_vertex_check_accepts_integers(v):
+    G = path_graph(3)
+    assert G.neighbors(v) == {0, 1, 2}
+    assert G.adjacent(v, 2) and G.label(v) == str(v)
+
+
+@pytest.mark.parametrize("v", [1.0, np.float64(1), "1", None, -1, 3])
+def test_vertex_check_refuses_everything_else(v):
+    G = path_graph(3)
+    for query in (G.neighbors, lambda v: G.adjacent(0, v), G.label):
+        with pytest.raises(ValueError, match=r"^unknown vertex "):
+            query(v)
+
+
 def test_induced_identity_and_isolated():
     P3 = path_graph(3)
     whole, back = induced_subgraph(P3, range(3))
