@@ -2,7 +2,7 @@
 
 Every graph here is undirected and reflexive: each vertex carries an
 implicit loop, so ``v in G.neighbors(v)`` always holds even though loops
-are never stored and never written to disk.
+are never given as edges and never written to disk.
 """
 
 from __future__ import annotations
@@ -11,14 +11,15 @@ from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from numbers import Integral
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import GeneratorContractError, GraphFormatError
 
 # Hard cap on the size of a single neighbour set returned by a lazy oracle.
 NEIGHBOR_CAP = 100_000
-# Largest vertex count a graph file may declare; far above what n^2 tables solve.
-MAX_FILE_ORDER = 2**20
+# Largest vertex count a graph file may declare; its n^2-bit mask store still fits in memory.
+MAX_FILE_ORDER = 2**16
 
 if TYPE_CHECKING:  # numpy loads only with the array views, so that pure-Python callers skip it
     import numpy as np
@@ -27,30 +28,31 @@ if TYPE_CHECKING:  # numpy loads only with the array views, so that pure-Python 
 class Graph:
     """Immutable undirected reflexive graph on vertices ``0 .. n-1``.
 
-    Loops are implicit: the adjacency store never records ``(v, v)`` but
-    every adjacency query treats a vertex as adjacent to itself.
+    The one adjacency store is :meth:`closed_masks`, a bitmask of N[v] per
+    vertex with bit v always set; every other view is derived from it.
     """
 
-    __slots__ = ("_n", "_adj", "_labels", "_matrix", "_dist", "_masks", "_nbhds", "_edges")
+    __slots__ = ("_n", "_masks", "_labels", "_matrix", "_dist", "_nbhds", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels=None):
         if n <= 0:
             raise ValueError("graph needs at least one vertex")
-        adj = [set() for _ in range(n)]
+        bits = [1 << v for v in range(n)]
+        masks = bits.copy()  # loops are implicit: bit v of N[v] is always set
         for u, v in edges:
+            # index(), not int(): NumPy integers wrap in shifts; int(1.5) is vertex 1
+            u, v = index(u), index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
-            if u == v:
-                continue  # loops are implicit
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= bits[v]
+            masks[v] |= bits[u]
         self._n = n
         # Per-vertex tuples are built from lists, here and in the modules
         # that point to this note. CPython 3.11 builds tuple(generator) by
         # resizing a block that is not taken from the tuple free list, yet
         # frees the result into it, so a process that handles many small
         # graphs fills those free lists and its RSS creeps up by megabytes.
-        self._adj = tuple([frozenset(s) for s in adj])
+        self._masks = tuple(masks)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -58,7 +60,6 @@ class Graph:
         self._labels = labels
         self._matrix = None
         self._dist = None
-        self._masks = None
         self._nbhds = None
         self._edges = None
 
@@ -90,24 +91,25 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         self._check(u)
         self._check(v)
-        return u == v or v in self._adj[u]
+        return self._masks[u] >> index(v) & 1 == 1
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Closed neighbourhood of ``v`` (always contains ``v``)."""
         self._check(v)
-        return self._adj[v] | {v}
+        return frozenset(self.closed_neighborhoods()[v])
 
     def open_neighbors(self, v: int) -> frozenset[int]:
         self._check(v)
-        return self._adj[v]
+        return frozenset(self.closed_neighborhoods()[v]) - {v}
 
     def degree(self, v: int) -> int:
         self._check(v)
-        return len(self._adj[v])
+        return self._masks[v].bit_count() - 1
 
     def edges(self):
-        for u in range(self._n):
-            for v in self._adj[u]:
+        """Edges ``(u, v)`` with ``u < v``, in increasing order."""
+        for u, row in enumerate(self.closed_neighborhoods()):
+            for v in row:
                 if u < v:
                     yield (u, v)
 
@@ -120,7 +122,7 @@ class Graph:
         return self._edges
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return (sum(m.bit_count() for m in self._masks) - self._n) // 2
 
     def is_connected(self) -> bool:
         return -1 not in self.distances_from(0)
@@ -128,12 +130,13 @@ class Graph:
     def distances_from(self, source: int) -> list[int]:
         """BFS distances; unreachable vertices get -1."""
         self._check(source)
+        nbhds = self.closed_neighborhoods()
         dist = [-1] * self._n
         dist[source] = 0
         todo = deque([source])
         while todo:
             u = todo.popleft()
-            for v in self._adj[u]:
+            for v in nbhds[u]:
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     todo.append(v)
@@ -143,32 +146,22 @@ class Graph:
         if self._dist is None:
             import numpy as np
 
-            m = np.empty((self._n, self._n), dtype=np.int32)
-            for v in range(self._n):
-                m[v] = self.distances_from(v)
-            self._dist = m
+            self._dist = np.array([self.distances_from(v) for v in range(self._n)], dtype=np.int32)
         return self._dist
-
-    def distance(self, u: int, v: int) -> int:
-        return int(self.distance_matrix()[u, v])
 
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean closed-adjacency matrix (diagonal is True)."""
         if self._matrix is None:
             import numpy as np
 
-            m = np.zeros((self._n, self._n), dtype=np.bool_)
-            for u in range(self._n):
-                m[u, u] = True
-                for v in self._adj[u]:
-                    m[u, v] = True
-            self._matrix = m
+            width = (self._n + 7) // 8
+            rows = b"".join([m.to_bytes(width, "little") for m in self._masks])
+            packed = np.frombuffer(rows, dtype=np.uint8).reshape(self._n, width)
+            self._matrix = np.unpackbits(packed, 1, count=self._n, bitorder="little").view(bool)
         return self._matrix
 
     def closed_masks(self) -> tuple[int, ...]:
         """Closed neighbourhoods as int bitmasks: bit w of entry v is set iff w is in N[v]."""
-        if self._masks is None:
-            self._masks = tuple([sum(1 << w for w in (v, *s)) for v, s in enumerate(self._adj)])
         return self._masks
 
     def closed_neighborhoods(self) -> tuple[tuple[int, ...], ...]:
@@ -176,16 +169,24 @@ class Graph:
         increasing order. Unchecked and cached, for hot loops; use
         :meth:`neighbors` for a checked lookup."""
         if self._nbhds is None:
-            self._nbhds = tuple([tuple(sorted((v, *s))) for v, s in enumerate(self._adj)])
+            nbhds = []
+            for m in self._masks:
+                row = []
+                while m:  # one step per set bit, highest first
+                    w = m.bit_length() - 1
+                    row.append(w)
+                    m ^= 1 << w
+                nbhds.append(tuple(row[::-1]))
+            self._nbhds = tuple(nbhds)
         return self._nbhds
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._adj == other._adj
+        return self._masks == other._masks
 
     def __hash__(self):
-        return hash((self._n, self._adj))
+        return hash(self._masks)
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, edges={self.edge_count()})"
@@ -198,7 +199,7 @@ class Graph:
         lines = [str(self._n)]
         if self._labels is not None:
             lines.extend(f"# label {v} {_label_text(name)}" for v, name in enumerate(self._labels))
-        lines.extend(f"{u} {v}" for u, v in sorted(self.edges()))
+        lines.extend(f"{u} {v}" for u, v in self.edges())
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -264,7 +265,7 @@ class Graph:
         lines = [f"graph {name} {{"]
         for v in range(self._n):
             lines.append(f'  {v} [label="{self.label(v)}"];')
-        for u, v in sorted(self.edges()):
+        for u, v in self.edges():
             lines.append(f"  {u} -- {v};")
         lines.append("}")
         return "\n".join(lines) + "\n"

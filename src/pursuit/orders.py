@@ -244,8 +244,9 @@ def naturalize_order(G: Graph, order: Order):
     sequence = order.sequence
     level: dict[int, int] = {sequence[0]: 0}
     rank = {v: i for i, v in enumerate(sequence)}
+    nbhds = G.closed_neighborhoods()
     for v in sequence[1:]:
-        earlier = [u for u in G.open_neighbors(v) if rank[u] < rank[v]]
+        earlier = [u for u in nbhds[v] if rank[u] < rank[v]]  # leaves out v itself
         if not earlier:
             raise InvalidOrderError(f"vertex {v} has no earlier neighbour")
         level[v] = max(level[u] for u in earlier) + 1

@@ -88,10 +88,6 @@ class RetractionFamily:
             raise NontotalRetractionError(k, v)
         raise InvalidOrderError(f"chain of {v} never drops below rank {k}: broken order")
 
-    def exponent(self, cutoff: int, v: int) -> int:
-        """Number of dominator steps taken by ``retract(cutoff, v)``."""
-        return self.order.chain(v).index(self.retract(cutoff, v))
-
     def max_total_cutoff(self) -> int:
         """Largest cutoff at which the dismantling projection is total.
 

@@ -182,6 +182,18 @@ def test_retraction_verification(tmp_path):
     assert run("verify", "--graph", f"{prefix}.graph", "--retraction", str(rmap)) == 0
 
 
+def test_retraction_failure_names_the_least_failing_edge(tmp_path, capsys):
+    # (0, 2) and (0, 9) both map to non-edges; edges are checked in increasing order
+    graph = tmp_path / "g.graph"
+    graph.write_text("10\n0 2\n0 9\n3 4\n")
+    rmap = tmp_path / "fold.map"
+    rmap.write_text("".join(f"{v} {5 if v == 0 else v}\n" for v in range(10)))
+    capsys.readouterr()
+    assert run("verify", "--graph", str(graph), "--retraction", str(rmap)) == 1
+    out = capsys.readouterr().out
+    assert out == "retraction: FAIL at (0, 2): edge (0,2) maps to non-edge (5,2)\n"
+
+
 def test_timing_and_recovery(tmp_path, capsys):
     prefix = str(tmp_path / "p3")
     run("generate", "--family", "path", "--n", "3", "--out", prefix)

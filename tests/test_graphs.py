@@ -45,12 +45,101 @@ def test_block_hub_neighbors():
 
 
 def test_edge_array_is_cached_in_edge_order():
-    # 9 and 2 sit in a frozenset's table in that order, so edges() is not sorted
-    G = Graph(10, [(0, 2), (0, 9), (3, 4)])
-    assert list(G.edges()) == [(0, 9), (0, 2), (3, 4)]
-    assert G.edge_array().tolist() == [[0, 9], [0, 2], [3, 4]]
+    # edges() ascends whatever order the edges were given in
+    G = Graph(10, [(0, 9), (4, 3), (0, 2)])
+    assert list(G.edges()) == [(0, 2), (0, 9), (3, 4)]
+    assert G.edge_array().tolist() == [[0, 2], [0, 9], [3, 4]]
     assert G.edge_array() is G.edge_array()
     assert Graph(3).edge_array().shape == (0, 2)
+
+
+def test_integer_like_endpoints_build_plain_int_graphs():
+    plain = Graph(3, [(0, 1), (0, 2)])
+    spellings = (
+        [(0, True), (False, 2)],
+        [(np.int64(0), np.int64(1)), (np.int32(2), np.uint8(0))],
+    )
+    for edges in spellings:
+        G = Graph(3, edges)
+        assert G == plain and hash(G) == hash(plain)
+        assert [type(w) for e in G.edges() for w in e] == [int] * 4
+        assert G.to_text() == "3\n0 1\n0 2\n"
+        assert Graph.from_text(G.to_text()) == G
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            Graph(3, [(0, bad)])
+
+
+# -- the mask store against the frozenset store it replaced -----------------
+
+
+def _ref_store(n, edges):
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return [frozenset(s) for s in adj]
+
+
+def _ref_distances(adj, source):
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    todo = [source]
+    for u in todo:
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                todo.append(v)
+    return dist
+
+
+def _spellings(v):
+    return [v, np.int64(v), np.int32(v)] + ([bool(v)] if v < 2 else [])
+
+
+@st.composite
+def _edge_lists(draw):
+    # n up to 70, so that a mask spans three 30-bit CPython digits
+    n = draw(st.integers(1, 70))
+    vertex = st.integers(0, n - 1).flatmap(lambda v: st.sampled_from(_spellings(v)))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    edges += draw(st.lists(vertex.map(lambda v: (v, v)), max_size=3))  # loops
+    if edges:
+        edges.append(edges[0][::-1])  # a duplicate, reversed
+    return n, edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edge_lists(), st.randoms(use_true_random=False))
+def test_mask_store_matches_frozenset_reference(case, rng):
+    n, edges = case
+    G = Graph(n, edges)
+    adj = _ref_store(n, edges)
+    closed = [s | {v} for v, s in enumerate(adj)]
+    assert [G.neighbors(v) for v in range(n)] == closed
+    assert [G.open_neighbors(v) for v in range(n)] == adj
+    assert [G.degree(v) for v in range(n)] == [len(s) for s in adj]
+    assert G.edge_count() == sum(len(s) for s in adj) // 2
+    assert list(G.edges()) == sorted((u, v) for u in range(n) for v in adj[u] if u < v)
+    assert G.closed_masks() == tuple(sum(1 << w for w in s) for s in closed)
+    assert G.closed_neighborhoods() == tuple(tuple(sorted(s)) for s in closed)
+    matrix = np.zeros((n, n), dtype=np.bool_)
+    for v, s in enumerate(closed):
+        matrix[v, list(s)] = True
+    assert G.adjacency_matrix().dtype == np.bool_
+    assert np.array_equal(G.adjacency_matrix(), matrix)
+    for source in {0, n - 1, rng.randrange(n)}:
+        assert G.distances_from(source) == _ref_distances(adj, source)
+    assert G.is_connected() == (-1 not in _ref_distances(adj, 0))
+    again = Graph.from_text(G.to_text())
+    assert again == G and hash(again) == hash(G)
+    kept = [e for e in edges if rng.random() < 0.9]
+    H = Graph(n, kept)
+    assert (H == G) == (_ref_store(n, kept) == adj)
+    if H == G:
+        assert hash(H) == hash(G)
 
 
 def test_dominates_complete_and_cycle():
@@ -165,7 +254,7 @@ def test_text_rejects_vertex_count_below_one(text, where):
 
 
 def test_text_rejects_vertex_count_above_limit(tmp_path, capsys):
-    # one above the limit: a missing check then costs one large graph, not 10**9 sets
+    # one above the limit: a missing check then costs one large mask store
     text = f"{MAX_FILE_ORDER + 1}\n0 1\n"
     with pytest.raises(GraphFormatError, match=f"line 1: vertex count {MAX_FILE_ORDER + 1} is not in 1"):
         Graph.from_text(text)

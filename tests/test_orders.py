@@ -201,6 +201,10 @@ def test_bad_order_files_rejected(text):
 # test replaced, kept as reference oracles.
 
 
+def _open_sets(G):
+    return [set(G.open_neighbors(v)) for v in range(G.order)]
+
+
 def _ref_peel(G):
     alive = set(range(G.order))
     nbrs = {v: set(G.open_neighbors(v)) for v in alive}
@@ -227,13 +231,14 @@ def _ref_peel(G):
     return removed, dominator_of, alive.pop()
 
 
-def _ref_dominates_within(G, region, u, v):
-    if u == v or u not in region or not G.adjacent(u, v):
+def _ref_dominates_within(nbrs, region, u, v):
+    if u == v or u not in region or u not in nbrs[v]:
         return False
-    return all(G.adjacent(u, w) for w in G.open_neighbors(v) if w in region)
+    return (nbrs[v] & region) - {u} <= nbrs[u]
 
 
 def _ref_verify(G, sequence, dom, suffix, collect):
+    nbrs = _open_sets(G)
     n = len(sequence)
     ranks = range(0, n - 1) if suffix else range(1, n)
     region = set(sequence) if suffix else {sequence[0]}
@@ -252,11 +257,11 @@ def _ref_verify(G, sequence, dom, suffix, collect):
             elif d not in region:
                 side = "suffix" if suffix else "prefix"
                 violations.append((rank, f"dominator {d} of {v} outside its {side}"))
-            elif not _ref_dominates_within(G, region, d, v):
+            elif not _ref_dominates_within(nbrs, region, d, v):
                 violations.append((rank, f"{d} does not dominate {v}"))
         else:
-            candidates = (u for u in G.open_neighbors(v) if u in region)
-            if not any(_ref_dominates_within(G, region, u, v) for u in candidates):
+            candidates = nbrs[v] & region
+            if not any(_ref_dominates_within(nbrs, region, u, v) for u in candidates):
                 violations.append((rank, f"vertex {v} is undominated"))
         if violations and not collect:
             break
@@ -268,14 +273,13 @@ def _ref_verify(G, sequence, dom, suffix, collect):
 
 
 def _ref_recovered_dominators(G, sequence):
+    nbrs = _open_sets(G)
     region = {sequence[0]}
     dominator = {}
     for v in sequence[1:]:
         region.add(v)
         for u in sorted(region):
-            if u != v and G.adjacent(u, v) and all(
-                G.adjacent(u, w) for w in G.open_neighbors(v) if w in region
-            ):
+            if _ref_dominates_within(nbrs, region, u, v):
                 dominator[v] = u
                 break
         else:
@@ -283,12 +287,11 @@ def _ref_recovered_dominators(G, sequence):
     return dominator
 
 
-def _ref_dominates(G, u, v):
-    if u == v:
-        return False
-    if not G.adjacent(u, v):
-        return False
-    return all(G.adjacent(u, w) for w in G.open_neighbors(v))
+def _ref_dominates_table(G):
+    nbrs = _open_sets(G)
+    n = G.order
+    return [[u != v and u in nbrs[v] and nbrs[v] - {u} <= nbrs[u] for v in range(n)]
+            for u in range(n)]
 
 
 def _assert_verify_matches(G, sequence, dom):
@@ -365,7 +368,7 @@ def test_bitmask_domination_matches_sets_on_hypothesis_graphs(G, rng):
     _assert_domination_matches(G, rng)
     n = G.order
     got = [[dominates(G, u, v) for v in range(n)] for u in range(n)]
-    assert got == [[_ref_dominates(G, u, v) for v in range(n)] for u in range(n)]
+    assert got == _ref_dominates_table(G)
 
 
 def _dense_seed(n, lo):

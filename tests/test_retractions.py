@@ -53,7 +53,6 @@ def test_identity_below_cutoff():
 def test_two_step_chain():
     _, fam = p3_family()
     assert fam.retract(1, 2) == 0
-    assert fam.exponent(1, 2) == 2
 
 
 def test_memoization_shares_results():
