@@ -46,3 +46,10 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     found = importlib.import_module(f"{__name__}.{module}")
     return found if module == name else getattr(found, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_HOME})
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_") and name != "importlib"]

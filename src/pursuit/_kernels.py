@@ -105,7 +105,7 @@ def survive_layers(
     adj: np.ndarray,
     allowed: np.ndarray,
     horizon: int,
-    cop_allowed: np.ndarray | None = None,
+    cop_allowed: np.ndarray,
     budget: int | None = None,
 ) -> np.ndarray | None:
     """Survival layers t0..horizon+1 as a (horizon + 2 - t0, n, n) bool
@@ -115,8 +115,6 @@ def survive_layers(
     ``budget``; the sweep stops there."""
     adj = np.ascontiguousarray(adj, dtype=np.bool_)
     allowed = np.ascontiguousarray(allowed, dtype=np.bool_)
-    if cop_allowed is None:
-        cop_allowed = np.ones(adj.shape[0], dtype=np.bool_)
     cop_allowed = np.ascontiguousarray(cop_allowed, dtype=np.bool_)
     if horizon < 2:
         raise ValueError("survival DP needs horizon >= 2")

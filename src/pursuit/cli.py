@@ -30,6 +30,7 @@ from .engine import (
 from .errors import CheckResult, GraphFormatError, PursuitError
 from .graphs import Graph, load_graph, save_graph
 from .orders import (
+    _check_permutation,
     depth_table,
     find_dismantling_order,
     find_dominating_order,
@@ -47,6 +48,8 @@ def _build_cop(kind: str, graph: Graph, order):
         ChainPursuitCop, DismantlingPursuitCop, PrefixRecursiveCop, ProtectiveCop, TableCop,
     )
 
+    if order is not None:
+        _check_permutation(graph, order.sequence)
     if kind == "optimal":
         return TableCop(decide_cop_win(graph))
     if order is None:
@@ -291,7 +294,7 @@ def _cmd_timing(args) -> int:
     graph = load_graph(args.graph)
     order = load_order(args.order) if args.order else None
     cop = _build_cop(args.cop, graph, order)
-    horizon = args.horizon or 4 * graph.order
+    horizon = 4 * graph.order if args.horizon is None else args.horizon
     profile = estimate_timing(graph, cop, horizon)
     sys.stdout.write(profile.to_text())
     if args.recover_order:
@@ -306,7 +309,8 @@ class _Quit(Exception):
 
 class _InteractiveRobber:
     """Robber policy that shows the cop's moves and reads the robber's
-    moves through ``input_fn``/``output_fn``; ``q`` or ``quit`` leaves."""
+    moves through ``input_fn``/``output_fn``; ``q``, ``quit`` or the end
+    of the input leaves."""
 
     def __init__(self, input_fn, output_fn):
         self.input_fn = input_fn
@@ -314,7 +318,10 @@ class _InteractiveRobber:
         self.round = 1
 
     def _read(self, prompt: str) -> str:
-        raw = self.input_fn(prompt).strip()
+        try:
+            raw = self.input_fn(prompt).strip()
+        except EOFError:
+            raise _Quit
         if raw in ("q", "quit"):
             raise _Quit
         return raw
@@ -352,7 +359,7 @@ def _cmd_play(args, input_fn=input, output_fn=print) -> int:
     cop = _build_cop(args.cop, graph, order)
     robber = _InteractiveRobber(input_fn, output_fn)
     try:
-        transcript = play(GameConfig(graph, cop, robber, max_rounds=args.horizon or 200))
+        transcript = play(GameConfig(graph, cop, robber, max_rounds=args.horizon))
     except _Quit:
         return 0
     out = transcript.outcome
@@ -426,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--order")
     p.add_argument("--cop", default="optimal")
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=int, default=200)
     p.set_defaults(fn=_cmd_play)
 
     return parser

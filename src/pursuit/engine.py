@@ -272,8 +272,6 @@ def evaluate_classic(T: Transcript) -> bool:
 def _bound_fn(bound, n: int):
     if isinstance(bound, int):
         return lambda v: bound
-    if callable(bound):
-        return bound
     seq = list(bound)
     if len(seq) != n:
         raise ValueError("bound table must cover every vertex")
@@ -281,7 +279,8 @@ def _bound_fn(bound, n: int):
 
 
 def evaluate_weak(T: Transcript, bound) -> CheckResult:
-    """Capture, or every vertex's robber visit count within its bound.
+    """Capture, or every vertex's robber visit count within its bound:
+    ``bound`` is one int for every vertex or a vertex-indexed sequence.
 
     Reports the first vertex whose count crosses the bound, with the
     round at which it happened.

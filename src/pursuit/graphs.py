@@ -203,10 +203,9 @@ class Graph:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str, labels=None) -> "Graph":
+    def from_text(cls, text: str) -> "Graph":
         """Parse :meth:`to_text` output. ``# label`` lines must name every
-        vertex once; other ``#`` lines are ignored. An explicit ``labels``
-        argument takes precedence over the file's labels."""
+        vertex once; other ``#`` lines are ignored."""
         n = None
         edges = []
         named = {}  # vertex -> (line number, label)
@@ -257,12 +256,10 @@ class Graph:
                 raise GraphFormatError(
                     f"labels name {len(named)} of {n} vertices; vertex {missing} has none"
                 )
-            if labels is None:
-                labels = tuple(named[v][1] for v in range(n))
-        return cls(n, edges, labels=labels)
+        return cls(n, edges, labels=tuple(named[v][1] for v in range(n)) if named else None)
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph G {"]
         for v in range(self._n):
             lines.append(f'  {v} [label="{self.label(v)}"];')
         for u, v in self.edges():
@@ -405,12 +402,14 @@ def ball(L: LazyGraph, radius: int) -> BallView:
     if radius < 0:
         raise ValueError("radius must be non-negative")
     dist = {L.root: 0}
+    neigh = {}  # key -> its oracle neighbour set, asked once per key
     frontier = deque([L.root])
     while frontier:
         key = frontier.popleft()
         if dist[key] == radius:
             continue
-        for nb in L.neighbor_set(key):
+        neigh[key] = L.neighbor_set(key)
+        for nb in neigh[key]:
             if nb not in dist:
                 dist[nb] = dist[key] + 1
                 frontier.append(nb)
@@ -422,8 +421,9 @@ def ball(L: LazyGraph, radius: int) -> BallView:
     members.sort(key=ranks.__getitem__)
     id_of = {key: i for i, key in enumerate(members)}
 
+    # the boundary, at distance radius, in id order
+    neigh.update([(key, L.neighbor_set(key)) for key in members if key not in neigh])
     edges = set()
-    neigh = {key: L.neighbor_set(key) for key in members}
     for key in members:
         for nb in neigh[key]:
             if nb in id_of and nb != key:

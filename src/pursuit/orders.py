@@ -137,25 +137,19 @@ def find_dismantling_order(G: Graph) -> Order | None:
     return Order((*removed, survivor), dominator_of, "dismantling")
 
 
-def _verify(G: Graph, order, suffix: bool, collect: bool):
-    if isinstance(order, Order):
-        sequence = order.sequence
-        dom = order.dominator
-    else:
-        sequence = tuple(order)
-        dom = None
-    _check_permutation(G, sequence)
-    sequence = [int(v) for v in sequence]  # a shift by a numpy integer wraps
+def _verify(G: Graph, order: Order, suffix: bool) -> CheckResult:
+    dom = order.dominator
+    _check_permutation(G, order.sequence)
+    sequence = [int(v) for v in order.sequence]  # a shift by a numpy integer wraps
     n = len(sequence)
     terminal = sequence[-1 if suffix else 0]
-    if dom is not None and terminal in dom:
+    if terminal in dom:
         # every chain ends at the terminal, so Order.chain would cycle
         raise InvalidOrderError(
             f"terminal vertex {terminal} has a recorded dominator {dom[terminal]}"
         )
     ranks = range(0, n - 1) if suffix else range(1, n)
     region = (1 << n) - 1 if suffix else 1 << sequence[0]
-    violations = []
 
     for rank in ranks:
         v = sequence[rank]
@@ -164,37 +158,27 @@ def _verify(G: Graph, order, suffix: bool, collect: bool):
                 region ^= 1 << sequence[rank - 1]
         else:
             region |= 1 << v
-        found = dominators_within(G.closed_masks(), region, v)
-        if dom is not None:
-            d = dom.get(v)
-            if d is None:
-                violations.append((rank, f"vertex {v} has no dominator"))
-            elif d not in range(n) or not region >> int(d) & 1:
-                side = "suffix" if suffix else "prefix"
-                violations.append((rank, f"dominator {d} of {v} outside its {side}"))
-            elif not found >> int(d) & 1:
-                violations.append((rank, f"{d} does not dominate {v}"))
-        elif not found:
-            violations.append((rank, f"vertex {v} is undominated"))
-        if violations and not collect:
-            break
-
-    if not violations:
-        return CheckResult(True)
-    rank, why = violations[0]
-    detail = why if not collect else "; ".join(f"rank {r}: {w}" for r, w in violations)
-    return CheckResult(False, where=rank, detail=detail)
+        d = dom.get(v)
+        if d is None:
+            why = f"vertex {v} has no dominator"
+        elif d not in range(n) or not region >> int(d) & 1:
+            why = f"dominator {d} of {v} outside its {'suffix' if suffix else 'prefix'}"
+        elif not dominators_within(G.closed_masks(), region, v) >> int(d) & 1:
+            why = f"{d} does not dominate {v}"
+        else:
+            continue
+        return CheckResult(False, where=rank, detail=why)
+    return CheckResult(True)
 
 
-def verify_dominating_order(G: Graph, order, collect: bool = False) -> CheckResult:
-    """Check every rank is dominated within its prefix; reports the first
-    offending rank. Accepts a bare sequence (dominator existence is then
-    checked instead of a specific map)."""
-    return _verify(G, order, suffix=False, collect=collect)
+def verify_dominating_order(G: Graph, order: Order) -> CheckResult:
+    """Each rank's recorded dominator dominates it in its prefix; else the first failing rank."""
+    return _verify(G, order, suffix=False)
 
 
-def verify_dismantling_order(G: Graph, order, collect: bool = False) -> CheckResult:
-    return _verify(G, order, suffix=True, collect=collect)
+def verify_dismantling_order(G: Graph, order: Order) -> CheckResult:
+    """Each rank's recorded dominator dominates it in its suffix; else the first failing rank."""
+    return _verify(G, order, suffix=True)
 
 
 def depth_table(order: Order, strict: bool = True) -> tuple:

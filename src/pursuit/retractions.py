@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CheckResult, InvalidOrderError, NontotalRetractionError
 from .graphs import Graph
-from .orders import Order
+from .orders import Order, _check_permutation
 
 
 class RetractionFamily:
@@ -29,8 +29,7 @@ class RetractionFamily:
     """
 
     def __init__(self, graph: Graph, order: Order):
-        if sorted(order.sequence) != list(range(graph.order)):
-            raise InvalidOrderError("order does not cover the graph's vertex set")
+        _check_permutation(graph, order.sequence)
         self.graph = graph
         self.order = order
         self.flavor = order.flavor

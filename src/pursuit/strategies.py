@@ -199,13 +199,12 @@ def _farthest_vertex(G: Graph, c: int) -> int:
 
 
 class StationaryRobber:
+    """Starts farthest from the cop and stays; ``ScriptedRobber([v])`` stays at v."""
+
     kind = "stationary"
 
-    def __init__(self, vertex: int | None = None):
-        self.vertex = vertex
-
     def start(self, G: Graph, c: int) -> int:
-        return self.vertex if self.vertex is not None else _farthest_vertex(G, c)
+        return _farthest_vertex(G, c)
 
     def move(self, G: Graph, c: int, r: int) -> int:
         return r

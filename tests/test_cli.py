@@ -218,8 +218,22 @@ def test_timing_rejects_a_negative_horizon(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: horizon must be at least 0, got -3\n"
-    assert run(*timing, "--horizon", "0") == 0  # 0 is the default, 4n
-    assert capsys.readouterr().out.startswith("horizon 16\n")
+    assert run(*timing, "--horizon", "0") == 0  # 0 is a horizon, not the default 4n
+    assert capsys.readouterr().out.startswith("horizon 0\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "timing"])
+@pytest.mark.parametrize("cop", ["s_star", "recursive", "protective", "dismantable", "optimal"])
+def test_every_cop_refuses_an_order_off_the_vertex_set(tmp_path, capsys, command, cop):
+    for n in (5, 7, 3):  # path(5) and the orders of path(7) and path(3)
+        run("generate", "--family", "path", "--n", str(n), "--out", str(tmp_path / f"p{n}"))
+    capsys.readouterr()
+    extra = ("--robber", "greedy") if command == "simulate" else ()
+    for n in (7, 3):
+        assert run(command, "--graph", str(tmp_path / "p5.graph"),
+                   "--order", str(tmp_path / f"p{n}.order"), "--cop", cop, *extra) == 1
+        assert capsys.readouterr() == (
+            "", "error: sequence is not a permutation of the vertex set\n")
 
 
 def test_adversarial_robber_on_one_vertex(tmp_path, capsys):
@@ -313,8 +327,11 @@ _P4_ROUND_3 = ["round 2: cop -> 2 (2)", "round 3, robber at 0, moves [0, 1]> "]
     ]),
     ("20", ["0", "q"], _P4_START + _P4_ROUND_3),
     ("20", ["quit"], _P4_START),
+    ("20", ["0"], _P4_START + _P4_ROUND_3),
+    ("20", [], _P4_START),
 ], ids=["illegal_moves", "start_on_cop", "cop_captures", "horizon_after_cop",
-        "horizon_after_robber", "quit_mid_game", "quit_at_start"])
+        "horizon_after_robber", "quit_mid_game", "quit_at_start", "input_ends_mid_game",
+        "input_ends_at_start"])
 def test_play_session_log(tmp_path, horizon, feed, expected):
     prefix = str(tmp_path / "p4")
     run("generate", "--family", "path", "--n", "4", "--out", prefix)
@@ -327,7 +344,9 @@ def test_play_session_log(tmp_path, horizon, feed, expected):
 
     def ask(prompt):
         log.append(prompt)
-        return next(feed)
+        for line in feed:
+            return line
+        raise EOFError  # as input() does once its stream has closed
 
     assert _cmd_play(args, input_fn=ask, output_fn=log.append) == 0
     assert log == expected
@@ -579,13 +598,19 @@ def test_verify_criterion_needs_a_transcript(tmp_path, capsys, criterion):
     assert capsys.readouterr() == ("", "error: --criterion needs --transcript\n")
 
 
-def _fresh_python(code, cwd):
-    """Last stdout line of ``python -c code`` run in a new interpreter."""
+def _fresh_python(*argv, cwd):
+    """``python *argv`` run in a new interpreter on this source tree, with
+    its stdin closed."""
     src = str(Path(pursuit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, stdin=subprocess.DEVNULL,
                           capture_output=True, text=True, timeout=60)
+
+
+def _fresh_line(code, cwd):
+    """Last stdout line of ``python -c code`` run in a new interpreter."""
+    done = _fresh_python("-c", code, cwd=cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
 
@@ -610,7 +635,17 @@ def path_game(tmp_path_factory):
 def test_only_kernel_subcommands_load_numpy(path_game, argv, loads_numpy):
     code = f"import sys, pursuit.cli; assert pursuit.cli.main({argv!r}) == 0; " \
            "print('numpy' in sys.modules)"
-    assert _fresh_python(code, path_game) == str(loads_numpy)
+    assert _fresh_line(code, path_game) == str(loads_numpy)
+
+
+def test_play_leaves_when_its_input_closes(path_game):
+    done = _fresh_python("-m", "pursuit.cli", "play", "--graph", "p.graph", cwd=path_game)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_play_refuses_horizon_zero(path_game, capsys):
+    assert run("play", "--graph", str(path_game / "p.graph"), "--horizon", "0") == 1
+    assert capsys.readouterr() == ("", "error: max_rounds must be at least 2\n")
 
 
 # every name the package exported when it imported all of its modules eagerly
@@ -637,16 +672,20 @@ PUBLIC = {
 
 
 def test_public_namespace_resolves_lazily(tmp_path):
+    star = {}
+    exec("from pursuit import *", star)  # binds the lazily loaded names too
     for module, names in PUBLIC.items():
         home = importlib.import_module(f"pursuit.{module}")
         assert getattr(pursuit, module) is home
         for name in names.split():
             found = {}
             exec(f"from pursuit import {name}", found)
-            assert getattr(pursuit, name) is found[name] is getattr(home, name)
+            assert getattr(pursuit, name) is found[name] is getattr(home, name) is star[name]
+            assert name in dir(pursuit)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         pursuit.no_such_name
     with pytest.raises(ImportError):
         exec("from pursuit import no_such_name", {})
-    code = "import sys, pursuit; print('numpy' in sys.modules, pursuit.solver.__name__)"
-    assert _fresh_python(code, tmp_path) == "False pursuit.solver"
+    code = ("import sys, pursuit; dir(pursuit); "
+            "print('numpy' in sys.modules, pursuit.solver.__name__)")
+    assert _fresh_line(code, tmp_path) == "False pursuit.solver"

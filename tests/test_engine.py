@@ -91,7 +91,7 @@ def test_play_is_deterministic():
 def test_robber_start_override_and_instant_capture():
     K2 = path_graph(2)
     cop = chain_cop(K2)
-    T = play(GameConfig(K2, cop, StationaryRobber(cop.start(K2))))
+    T = play(GameConfig(K2, cop, ScriptedRobber([cop.start(K2)])))
     assert T.outcome == Outcome("capture", 1)
 
 
@@ -167,10 +167,11 @@ def test_weak_capture_ignores_bound():
     assert evaluate_weak(T, 0)
 
 
-def test_weak_accepts_callable_and_table_bounds():
+def test_weak_accepts_int_and_table_bounds():
     moves = ((0, "cop", 0), (1, "robber", 2), (2, "cop", 1), (3, "robber", 2))
     T = Transcript(moves, Outcome("horizon"), (0, 0, 2), horizon=3)
-    assert evaluate_weak(T, lambda v: 5)
+    assert evaluate_weak(T, 5) and not evaluate_weak(T, 1)
+    assert evaluate_weak(T, [5, 5, 5])
     assert not evaluate_weak(T, [5, 5, 1])
     with pytest.raises(ValueError):
         evaluate_weak(T, [5, 5])  # table must cover every vertex

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pursuit import (
     ChainPursuitCop, DistanceGreedyRobber, GameConfig, GraphFormatError, RetractionFamily,
-    StationaryRobber, play,
+    ScriptedRobber, play,
 )
 from pursuit.cli import _read_vertex_pairs, main
 from pursuit.engine import replay, transcript_from_json, transcript_to_json
@@ -113,7 +113,7 @@ _GAMES = [  # (graph, transcript): a capture, a horizon and a wheel chase
     (_P5, play(GameConfig(_P5, ChainPursuitCop(RetractionFamily(_P5, _P5_ORDER)),
                           DistanceGreedyRobber()))),
     (_P5, play(GameConfig(_P5, ChainPursuitCop(RetractionFamily(_P5, _P5_ORDER)),
-                          StationaryRobber(4), max_rounds=3))),
+                          ScriptedRobber([4]), max_rounds=3))),
     (_WHEEL, play(GameConfig(_WHEEL, ChainPursuitCop(RetractionFamily(_WHEEL, _WHEEL_ORDER)),
                              DistanceGreedyRobber()))),
 ]

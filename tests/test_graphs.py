@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,10 +287,9 @@ def test_labels_survive_text_roundtrip(G):
 
 
 def test_label_lines_are_comments_elsewhere():
-    # names may hold spaces; other comments stay ignored; explicit labels win
+    # names may hold spaces; other comments stay ignored
     text = "# made by hand\n2\n# label 1 ('', 'a_0')\n#label 0 hub\n0 1\n"
     assert Graph.from_text(text).labels == ("hub", "('', 'a_0')")
-    assert Graph.from_text(text, labels=("x", "y")).labels == ("x", "y")
 
 
 @pytest.mark.parametrize(
@@ -323,6 +325,20 @@ def test_ball_radius_zero_and_path():
     assert view.graph.order == 1
     view3 = ball(ray(), 3)
     assert view3.graph == path_graph(4)
+
+
+@pytest.mark.parametrize("lazy, radius", [(wheel_tree(), 5), (ray(), 6)],
+                         ids=["wheel_tree", "ray"])
+def test_ball_asks_the_oracle_once_per_key(lazy, radius):
+    calls = Counter()
+
+    def counted(key):
+        calls[key] += 1
+        return lazy.neighbors(key)
+
+    view = ball(replace(lazy, neighbors=counted), radius)
+    assert calls == Counter(view.keys)
+    assert view.graph == ball(lazy, radius).graph
 
 
 def test_ball_nesting():

@@ -55,13 +55,13 @@ def test_block_shipped_order_verifies():
 
 def test_bad_path_order_fails_at_rank_one():
     P3 = path_graph(3)
-    res = verify_dominating_order(P3, [0, 2, 1])
-    assert not res and res.where == 1
+    res = verify_dominating_order(P3, Order((0, 2, 1), {2: 0, 1: 0}, "constructing"))
+    assert not res and res.where == 1 and res.detail == "0 does not dominate 2"
 
 
 def test_verify_rejects_non_permutation():
     with pytest.raises(InvalidOrderError):
-        verify_dominating_order(path_graph(3), [0, 1, 1])
+        verify_dominating_order(path_graph(3), Order((0, 1, 1), {1: 0}, "constructing"))
 
 
 def test_verify_rejects_a_dominator_recorded_for_the_terminal():
@@ -73,7 +73,7 @@ def test_verify_rejects_a_dominator_recorded_for_the_terminal():
         Order((0, 1, 2), {0: 1, 1: 0, 2: 1}, "constructing"),
     ):
         with pytest.raises(InvalidOrderError, match="terminal vertex 0 has a recorded dominator"):
-            verify_dominating_order(P3, order, collect=True)
+            verify_dominating_order(P3, order)
     dismantling = Order((2, 1, 0), {2: 1, 1: 0, 0: 1}, "dismantling")
     with pytest.raises(InvalidOrderError, match="terminal vertex 0 has a recorded dominator 1"):
         verify_dismantling_order(P3, dismantling)
@@ -92,9 +92,16 @@ def test_hubbed_path_truncation_defect_is_exactly_the_last_path_vertex():
     # retracts onto a 4-cycle), and the truncated infinite order breaks
     # precisely where the path ends.
     built = hubbed_path(9)
-    res = verify_dismantling_order(built.graph, built.dismantling, collect=True)
-    assert not res and res.where == 9
-    assert "rank 9" in res.detail and res.detail.count("rank") == 1
+    order = built.dismantling
+    res = verify_dismantling_order(built.graph, order)
+    assert not res and (res.where, res.detail) == (9, "vertex 9 has no dominator")
+    # every other rank's recorded dominator dominates it inside its suffix
+    masks = built.graph.closed_masks()
+    region = (1 << len(order)) - 1
+    for rank, v in enumerate(order.sequence[:-1]):
+        if rank != 9:
+            assert dominators_within(masks, region, v) >> order.dominator[v] & 1, rank
+        region ^= 1 << v
     assert find_dismantling_order(built.graph) is None
 
 
@@ -237,12 +244,11 @@ def _ref_dominates_within(nbrs, region, u, v):
     return (nbrs[v] & region) - {u} <= nbrs[u]
 
 
-def _ref_verify(G, sequence, dom, suffix, collect):
+def _ref_verify(G, sequence, dom, suffix):
     nbrs = _open_sets(G)
     n = len(sequence)
     ranks = range(0, n - 1) if suffix else range(1, n)
     region = set(sequence) if suffix else {sequence[0]}
-    violations = []
     for rank in ranks:
         v = sequence[rank]
         if suffix:
@@ -250,26 +256,15 @@ def _ref_verify(G, sequence, dom, suffix, collect):
                 region.discard(sequence[rank - 1])
         else:
             region.add(v)
-        if dom is not None:
-            d = dom.get(v)
-            if d is None:
-                violations.append((rank, f"vertex {v} has no dominator"))
-            elif d not in region:
-                side = "suffix" if suffix else "prefix"
-                violations.append((rank, f"dominator {d} of {v} outside its {side}"))
-            elif not _ref_dominates_within(nbrs, region, d, v):
-                violations.append((rank, f"{d} does not dominate {v}"))
-        else:
-            candidates = nbrs[v] & region
-            if not any(_ref_dominates_within(nbrs, region, u, v) for u in candidates):
-                violations.append((rank, f"vertex {v} is undominated"))
-        if violations and not collect:
-            break
-    if not violations:
-        return (True, None, "")
-    rank, why = violations[0]
-    detail = why if not collect else "; ".join(f"rank {r}: {w}" for r, w in violations)
-    return (False, rank, detail)
+        d = dom.get(v)
+        if d is None:
+            return (False, rank, f"vertex {v} has no dominator")
+        if d not in region:
+            side = "suffix" if suffix else "prefix"
+            return (False, rank, f"dominator {d} of {v} outside its {side}")
+        if not _ref_dominates_within(nbrs, region, d, v):
+            return (False, rank, f"{d} does not dominate {v}")
+    return (True, None, "")
 
 
 def _ref_recovered_dominators(G, sequence):
@@ -304,11 +299,9 @@ def _assert_verify_matches(G, sequence, dom):
             with pytest.raises(InvalidOrderError, match=f"terminal vertex {terminal} has"):
                 verify(G, Order(sequence, dom, flavor))
         rest = {v: d for v, d in dom.items() if v != terminal}
-        for collect in (False, True):
-            for order, ref_dom in ((Order(sequence, rest, flavor), rest), (sequence, None)):
-                got = verify(G, order, collect=collect)
-                want = _ref_verify(G, tuple(sequence), ref_dom, suffix, collect)
-                assert (got.ok, got.where, got.detail) == want, (sequence, rest, flavor, collect)
+        got = verify(G, Order(sequence, rest, flavor))
+        want = _ref_verify(G, tuple(sequence), rest, suffix)
+        assert (got.ok, got.where, got.detail) == want, (sequence, rest, flavor)
 
 
 def _assert_recovery_matches(G, rob_latest):
@@ -328,7 +321,7 @@ def _assert_recovery_matches(G, rob_latest):
     except ProtectiveContradictionError as err:
         # the dominators agree; the recovered order then fails verification
         assert str(err).startswith("recovered order fails at rank ")
-        check = _ref_verify(G, sequence, want, False, False)
+        check = _ref_verify(G, sequence, want, False)
         assert str(err) == f"recovered order fails at rank {check[1]}: {check[2]}"
     else:
         assert (order.sequence, order.dominator) == (sequence, want)
@@ -442,14 +435,19 @@ def test_dominators_within_respects_region_and_excludes_v():
 
 
 def test_numpy_integer_sequences_verify_like_ints():
+    # each vertex's dominator is its predecessor (constructing) or its
+    # successor (dismantling) in the sequence
     G = path_graph(70)
     for seq in (np.arange(70), np.arange(70)[::-1], np.array([69, *range(69)])):
-        for verify in (verify_dominating_order, verify_dismantling_order):
-            for collect in (False, True):
-                got = verify(G, seq, collect=collect)
-                want = verify(G, [int(v) for v in seq], collect=collect)
-                assert (got.ok, got.where, got.detail) == (want.ok, want.where, want.detail)
-    assert verify_dominating_order(G, np.arange(70))
+        ints = [int(v) for v in seq]
+        for flavor, verify, step in (("constructing", verify_dominating_order, -1),
+                                     ("dismantling", verify_dismantling_order, 1)):
+            pairs = [(i, i + step) for i in range(70) if 0 <= i + step < 70]
+            got = verify(G, Order(seq, {seq[i]: seq[j] for i, j in pairs}, flavor))
+            want = verify(G, Order(ints, {ints[i]: ints[j] for i, j in pairs}, flavor))
+            assert (got.ok, got.where, got.detail) == (want.ok, want.where, want.detail)
+    assert verify_dominating_order(G, Order(np.arange(70), {v: v - 1 for v in range(1, 70)},
+                                            "constructing"))
 
 
 # -- the memoised chase as a reference for depth_table ----------------------

@@ -130,7 +130,6 @@ def test_stationary_robber():
     pol = StationaryRobber()
     assert pol.start(P5, 0) == 4
     assert pol.move(P5, 0, 4) == 4
-    assert StationaryRobber(2).start(P5, 0) == 2
 
 
 def test_distance_greedy_on_p5():
