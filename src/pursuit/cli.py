@@ -174,6 +174,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.criterion and not args.transcript:
         raise PursuitError("--criterion needs --transcript")
+    if args.bound is not None and args.criterion != "weak":
+        raise PursuitError("--bound needs --criterion weak")
     graph = load_graph(args.graph)
     order = load_order(args.order) if args.order else None
     failures = []
@@ -250,7 +252,7 @@ def _annotation_mismatch(order, transcript):
 
 
 def _resolve_bound(args, graph, order):
-    if args.bound == "default":
+    if args.bound in (None, "default"):
         if order is None:
             raise PursuitError("--bound default needs --order to derive depths")
         depths = depth_table(order, strict=False)
@@ -418,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--retraction", help="file of 'u f(u)' lines")
     v.add_argument("--transcript")
     v.add_argument("--criterion", choices=("classic", "weak", "cweak"))
-    v.add_argument("--bound", default="default", help="default | <int> | <path>")
+    v.add_argument("--bound", help="default | <int> | <path>; with --criterion weak only")
     v.set_defaults(fn=_cmd_verify)
 
     t = sub.add_parser("timing", help="timing profile of a strategy")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import compress
 from numbers import Integral
 from operator import index
 from typing import TYPE_CHECKING, NamedTuple
@@ -20,6 +21,8 @@ from .errors import GeneratorContractError, GraphFormatError
 NEIGHBOR_CAP = 100_000
 # Largest vertex count a graph file may declare; its n^2-bit mask store still fits in memory.
 MAX_FILE_ORDER = 2**16
+# Turns the digits of bin() into the 0/1 selector bytes of compress().
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 if TYPE_CHECKING:  # numpy loads only with the array views, so that pure-Python callers skip it
     import numpy as np
@@ -46,16 +49,22 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
             masks[u] |= bits[v]
             masks[v] |= bits[u]
-        self._n = n
+        self._store(masks, labels)
+
+    def _store(self, masks: list[int], labels) -> None:
+        """Finish the graph whose closed neighbourhoods are ``masks``."""
+        self._n = len(masks)
         # Per-vertex tuples are built from lists, here and in the modules
-        # that point to this note. CPython 3.11 builds tuple(generator) by
-        # resizing a block that is not taken from the tuple free list, yet
-        # frees the result into it, so a process that handles many small
-        # graphs fills those free lists and its RSS creeps up by megabytes.
+        # that point to this note. CPython 3.11 builds a tuple from an
+        # iterator without a length hint (a generator, or itertools such as
+        # compress) by resizing a block that is not taken from the tuple
+        # free list, yet frees the result into it, so a process that
+        # handles many small graphs fills those free lists and its RSS
+        # creeps up by megabytes.
         self._masks = tuple(masks)
         if labels is not None:
             labels = tuple(labels)
-            if len(labels) != n:
+            if len(labels) != self._n:
                 raise ValueError("labels must match vertex count")
         self._labels = labels
         self._matrix = None
@@ -125,7 +134,16 @@ class Graph:
         return (sum(m.bit_count() for m in self._masks) - self._n) // 2
 
     def is_connected(self) -> bool:
-        return -1 not in self.distances_from(0)
+        masks = self._masks
+        full = (1 << self._n) - 1
+        seen = masks[0]
+        todo = seen ^ 1  # reached, N[w] not yet ORed in
+        while todo and seen != full:
+            low = todo & -todo
+            grown = masks[low.bit_length() - 1]
+            todo = (todo ^ low) | (grown & ~seen)
+            seen |= grown
+        return seen == full
 
     def distances_from(self, source: int) -> list[int]:
         """BFS distances; unreachable vertices get -1."""
@@ -169,15 +187,12 @@ class Graph:
         increasing order. Unchecked and cached, for hot loops; use
         :meth:`neighbors` for a checked lookup."""
         if self._nbhds is None:
-            nbhds = []
-            for m in self._masks:
-                row = []
-                while m:  # one step per set bit, highest first
-                    w = m.bit_length() - 1
-                    row.append(w)
-                    m ^= 1 << w
-                nbhds.append(tuple(row[::-1]))
-            self._nbhds = tuple(nbhds)
+            vertices = range(self._n)
+            # bit w of the mask becomes byte w of the selector, in C
+            self._nbhds = tuple([
+                tuple([*compress(vertices, bin(m)[:1:-1].encode().translate(_BIT_BYTES))])
+                for m in self._masks
+            ])
         return self._nbhds
 
     def __eq__(self, other) -> bool:
@@ -205,11 +220,26 @@ class Graph:
     @classmethod
     def from_text(cls, text: str) -> "Graph":
         """Parse :meth:`to_text` output. ``# label`` lines must name every
-        vertex once; other ``#`` lines are ignored."""
+        vertex once; other ``#`` lines are ignored. Each edge line is ORed
+        into the closed masks as it is read."""
         n = None
-        edges = []
+        masks = bits = None  # set by the header line
         named = {}  # vertex -> (line number, label)
         for lineno, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.split()
+            # the common line first: an edge after the header
+            if len(parts) == 2 and n is not None and parts[0][0] != "#":
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise GraphFormatError(f"line {lineno}: expected integers")
+                if not 0 <= u < v < n:
+                    raise GraphFormatError(
+                        f"line {lineno}: edge ({u}, {v}) must satisfy 0 <= u < v < n"
+                    )
+                masks[u] |= bits[v]
+                masks[v] |= bits[u]
+                continue
             line = raw.strip()
             if line.startswith("#"):
                 words = line[1:].split(None, 2)
@@ -223,30 +253,21 @@ class Graph:
                 continue
             if not line:
                 continue
-            if n is None:
-                try:
-                    n = int(line)
-                except ValueError:
-                    raise GraphFormatError(f"line {lineno}: expected vertex count")
-                if not 1 <= n <= MAX_FILE_ORDER:
-                    raise GraphFormatError(
-                        f"line {lineno}: vertex count {n} is not in 1..{MAX_FILE_ORDER}"
-                    )
-                continue
-            parts = line.split()
-            if len(parts) != 2:
+            if n is not None:
                 raise GraphFormatError(f"line {lineno}: expected 'u v'")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                n = int(line)
             except ValueError:
-                raise GraphFormatError(f"line {lineno}: expected integers")
-            if not (0 <= u < v < (n or 0)):
+                raise GraphFormatError(f"line {lineno}: expected vertex count")
+            if not 1 <= n <= MAX_FILE_ORDER:
                 raise GraphFormatError(
-                    f"line {lineno}: edge ({u}, {v}) must satisfy 0 <= u < v < n"
+                    f"line {lineno}: vertex count {n} is not in 1..{MAX_FILE_ORDER}"
                 )
-            edges.append((u, v))
+            bits = [1 << v for v in range(n)]
+            masks = bits.copy()
         if n is None:
             raise GraphFormatError("empty graph file")
+        labels = None
         if named:
             for v, (lineno, _) in named.items():
                 if not 0 <= v < n:
@@ -256,7 +277,10 @@ class Graph:
                 raise GraphFormatError(
                     f"labels name {len(named)} of {n} vertices; vertex {missing} has none"
                 )
-        return cls(n, edges, labels=tuple(named[v][1] for v in range(n)) if named else None)
+            labels = [named[v][1] for v in range(n)]
+        graph = cls.__new__(cls)
+        graph._store(masks, labels)
+        return graph
 
     def to_dot(self) -> str:
         lines = ["graph G {"]

@@ -98,12 +98,13 @@ def _greedy_peel(G: Graph):
     the lowest-id dominator alive at removal time, or None if peeling got
     stuck before reaching a single vertex.
     """
+    masks = G.closed_masks()
     alive = (1 << G.order) - 1
     removed = []
     dominator_of = {}
     while alive & (alive - 1):  # two or more alive
         for v in range(G.order):
-            found = alive >> v & 1 and dominators_within(G.closed_masks(), alive, v)
+            found = alive >> v & 1 and dominators_within(masks, alive, v)
             if found:
                 break
         else:

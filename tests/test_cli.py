@@ -638,6 +638,20 @@ def test_only_kernel_subcommands_load_numpy(path_game, argv, loads_numpy):
     assert _fresh_line(code, path_game) == str(loads_numpy)
 
 
+@pytest.mark.parametrize("extra", [
+    ["--bound", "/nonexistent/b.txt"],
+    ["--transcript", "game.json", "--criterion", "classic", "--bound", "/nonexistent"],
+    ["--transcript", "game.json", "--bound", "default"],
+], ids=["no_criterion", "classic", "explicit_default"])
+def test_verify_bound_needs_the_weak_criterion(path_game, capsys, extra):
+    # a bound that no check reads must not be accepted silently
+    extra = [str(path_game / a) if a == "game.json" else a for a in extra]
+    capsys.readouterr()
+    assert run("verify", "--graph", str(path_game / "p.graph"),
+               "--order", str(path_game / "p.order"), *extra) == 1
+    assert capsys.readouterr() == ("", "error: --bound needs --criterion weak\n")
+
+
 def test_play_leaves_when_its_input_closes(path_game):
     done = _fresh_python("-m", "pursuit.cli", "play", "--graph", "p.graph", cwd=path_game)
     assert (done.returncode, done.stderr) == (0, "")

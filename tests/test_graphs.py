@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -114,8 +115,23 @@ def _edge_lists(draw):
     return n, edges
 
 
-@settings(max_examples=40, deadline=None)
-@given(_edge_lists(), st.randoms(use_true_random=False))
+@st.composite
+def _dense_edge_lists(draw):
+    # a complete graph less a few edges, so that rows are near full; a cut
+    # between two blocks makes some of them disconnected
+    n = draw(st.integers(1, 70))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    cut = draw(st.integers(0, n - 1))  # 0: no cut
+    if cut:
+        pairs = [(u, v) for u, v in pairs if (u < cut) == (v < cut)]
+    if pairs:
+        gone = draw(st.sets(st.sampled_from(pairs), max_size=5))
+        pairs = [e for e in pairs if e not in gone]
+    return n, pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_edge_lists(), _dense_edge_lists()), st.randoms(use_true_random=False))
 def test_mask_store_matches_frozenset_reference(case, rng):
     n, edges = case
     G = Graph(n, edges)
@@ -138,7 +154,8 @@ def test_mask_store_matches_frozenset_reference(case, rng):
     assert G.is_connected() == (-1 not in _ref_distances(adj, 0))
     again = Graph.from_text(G.to_text())
     assert again == G and hash(again) == hash(G)
-    kept = [e for e in edges if rng.random() < 0.9]
+    coin = random.Random(rng.getrandbits(64))  # one draw, not one per edge of a dense list
+    kept = [e for e in edges if coin.random() < 0.9]
     H = Graph(n, kept)
     assert (H == G) == (_ref_store(n, kept) == adj)
     if H == G:
@@ -228,6 +245,123 @@ def test_induced_functoriality(n, seed):
     twice, _ = induced_subgraph(mid, small_local)
     direct, _ = induced_subgraph(G, small)
     assert twice == direct
+
+
+# -- the line parser against the one it replaced --------------------------
+
+
+def _ref_from_text(text):
+    """The graph parser that collected an edge list and built the graph
+    from it after the loop."""
+    n = None
+    edges = []
+    named = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            words = line[1:].split(None, 2)
+            if words[:1] == ["label"]:
+                if len(words) != 3:
+                    raise GraphFormatError(f"line {lineno}: expected '# label <v> <name>'")
+                try:
+                    v = int(words[1])
+                except ValueError:
+                    raise GraphFormatError(f"line {lineno}: label vertex must be an integer")
+                if v in named:
+                    raise GraphFormatError(
+                        f"line {lineno}: vertex {v} already labelled on line {named[v][0]}"
+                    )
+                named[v] = (lineno, words[2])
+            continue
+        if not line:
+            continue
+        if n is None:
+            try:
+                n = int(line)
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: expected vertex count")
+            if not 1 <= n <= MAX_FILE_ORDER:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex count {n} is not in 1..{MAX_FILE_ORDER}"
+                )
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: expected integers")
+        if not (0 <= u < v < (n or 0)):
+            raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) must satisfy 0 <= u < v < n")
+        edges.append((u, v))
+    if n is None:
+        raise GraphFormatError("empty graph file")
+    if named:
+        for v, (lineno, _) in named.items():
+            if not 0 <= v < n:
+                raise GraphFormatError(f"line {lineno}: label for vertex {v} out of range")
+        if len(named) != n:
+            missing = min(set(range(n)) - named.keys())
+            raise GraphFormatError(
+                f"labels name {len(named)} of {n} vertices; vertex {missing} has none"
+            )
+    return Graph(n, edges, labels=tuple(named[v][1] for v in range(n)) if named else None)
+
+
+_PARSER_TEXTS = [
+    path_graph(4).to_text(),
+    random_connected_graph(7, 4).to_text(),
+    double_wheel()[0].to_text(),  # labelled
+    "3\n# label 0 a\n#label 1 b c\n# label 2 d\n0 1\n0 1\n1 2\n",  # repeated edge
+    "5\n",  # header only
+]
+# The file noise of the parser fuzz tests, and line breaks other than \n.
+_PARSER_NOISE = st.sampled_from(
+    [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x85", "\u2028", "\xa0", "#",
+     "# label ", "#label ", "label", ":", "-", "+", "_", "0", "1", "2", "9", "x", "\x00", "١",
+     "1" * 30, "99999999", "0 1", "1 2\n"]
+)
+
+
+@st.composite
+def _graph_file_texts(draw):
+    """A graph file with a few characters deleted, inserted or replaced,
+    or with lines dropped, repeated or swapped."""
+    text = draw(st.sampled_from(_PARSER_TEXTS))
+    for _ in range(draw(st.integers(0, 4))):
+        how = draw(st.sampled_from(["delete", "insert", "replace", "drop", "repeat", "swap"]))
+        lines = text.splitlines(keepends=True)
+        if how in ("drop", "repeat", "swap") and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            j = draw(st.integers(0, len(lines) - 1))
+            if how == "drop":
+                del lines[i]
+            elif how == "repeat":
+                lines.insert(j, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "".join(lines)
+            continue
+        i = draw(st.integers(0, len(text)))
+        cut = 0 if how == "insert" else draw(st.integers(0, 3))
+        add = "" if how == "delete" else draw(_PARSER_NOISE)
+        text = text[:i] + add + text[i + cut:]
+    return text
+
+
+def _parsed(parse, text):
+    try:
+        G = parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    return G, G.labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=80), _graph_file_texts()))
+def test_parser_matches_the_edge_list_parser(text):
+    assert _parsed(Graph.from_text, text) == _parsed(_ref_from_text, text)
 
 
 def test_text_roundtrip_and_comments():
