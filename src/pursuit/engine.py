@@ -327,20 +327,19 @@ def evaluate_cweak(T: Transcript) -> CheckResult:
     return CheckResult(last_fresh, where=last_revisit)
 
 
-def check_shadow(T: Transcript, G: Graph, mapping) -> CheckResult:
+def check_shadow(T: Transcript, G: Graph, mapping: dict) -> CheckResult:
     """Replay a transcript through a retraction: the mapped cop positions
     must form a legal walk, the robber must already be fixed by the map,
     and a capture must shadow to a capture at the same round."""
-    f = dict(enumerate(mapping)) if not isinstance(mapping, dict) else mapping
     prev = None
     robber = None
     for t, p, v in T.moves:
         if p == "robber":
-            if f[v] != v:
+            if mapping[v] != v:
                 return CheckResult(False, where=t, detail=f"robber at {v} not fixed by the map")
             robber = v
         else:
-            img = f[v]
+            img = mapping[v]
             if prev is not None and not G.adjacent(prev, img):
                 return CheckResult(
                     False, where=t, detail=f"shadow step {prev} -> {img} is not an edge"
@@ -348,7 +347,7 @@ def check_shadow(T: Transcript, G: Graph, mapping) -> CheckResult:
             prev = img
     if T.captured:
         tc, _, cv = next(m for m in reversed(T.moves) if m[0] == T.outcome.round)
-        if f[cv] != robber:
+        if mapping[cv] != robber:
             return CheckResult(
                 False, where=T.outcome.round, detail="capture does not shadow to a capture"
             )

@@ -254,9 +254,9 @@ def order_to_text(order: Order) -> str:
 
 
 def order_from_text(text: str, flavor: str = "auto") -> Order:
-    """Parse :func:`order_to_text` output. Every dominator entry must name
-    vertices of the sequence; ``flavor="auto"`` reads the flavour off the
-    direction of the dominator map."""
+    """Parse :func:`order_to_text` output: one ``order`` line, and at most
+    one dominator per vertex, naming vertices of the sequence;
+    ``flavor="auto"`` reads the flavour off the dominator map's direction."""
     sequence = None
     dominator = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -268,11 +268,15 @@ def order_from_text(text: str, flavor: str = "auto") -> Order:
             raise GraphFormatError(f"unexpected line in order file: {line!r}")
         try:
             if parts[0] == "order":
+                if sequence is not None:
+                    raise GraphFormatError(f"line {lineno}: second 'order' line")
                 sequence = tuple([int(x) for x in parts[1:]])  # see Graph.__init__
             else:
                 for pair in parts[1:]:
-                    v, d = pair.split(":")
-                    dominator[int(v)] = int(d)
+                    v, d = (int(x) for x in pair.split(":"))
+                    if v in dominator:
+                        raise GraphFormatError(f"line {lineno}: vertex {v} has a second dominator")
+                    dominator[v] = d
         except ValueError:
             raise GraphFormatError(f"line {lineno}: expected integers and 'v:d' pairs")
     if sequence is None:
@@ -287,14 +291,12 @@ def order_from_text(text: str, flavor: str = "auto") -> Order:
         if ups and downs:
             raise GraphFormatError("mixed dominator directions; pass an explicit flavor")
         flavor = "dismantling" if ups else "constructing"
-    elif flavor == "dominating":
-        flavor = "constructing"
     return Order(sequence, dominator, flavor)
 
 
-def load_order(path, flavor: str = "auto") -> Order:
+def load_order(path) -> Order:
     with open(path, "r", encoding="utf-8") as fh:
-        return order_from_text(fh.read(), flavor=flavor)
+        return order_from_text(fh.read())
 
 
 def save_order(path, order: Order) -> None:

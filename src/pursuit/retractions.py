@@ -100,28 +100,26 @@ class RetractionFamily:
         return min(max(rank(w) for w in chain(v)) for v in range(n))
 
 
-def check_retraction(G: Graph, mapping, fixed) -> CheckResult:
+def check_retraction(G: Graph, mapping: dict, fixed) -> CheckResult:
     """Is ``mapping`` a retraction of G onto the subgraph on ``fixed``?
 
     Requires: the image lies inside ``fixed``, every vertex of ``fixed``
     maps to itself, and every edge maps to an edge or collapses to a
     single vertex (legal, since all graphs are reflexive).
     """
-    f = dict(enumerate(mapping)) if not isinstance(mapping, dict) else mapping
     fixed = set(fixed)
     for v in G.vertices():
-        if v not in f:
+        if v not in mapping:
             return CheckResult(False, where=v, detail=f"map undefined at {v}")
-        if f[v] not in fixed:
+        if mapping[v] not in fixed:
             return CheckResult(False, where=v, detail=f"image of {v} escapes the target")
     for h in fixed:
-        if f[h] != h:
+        if mapping[h] != h:
             return CheckResult(False, where=h, detail=f"target vertex {h} not fixed")
     for u, v in G.edges():
-        if not G.adjacent(f[u], f[v]):
-            return CheckResult(
-                False, where=(u, v), detail=f"edge ({u},{v}) maps to non-edge ({f[u]},{f[v]})"
-            )
+        if not G.adjacent(mapping[u], mapping[v]):
+            detail = f"edge ({u},{v}) maps to non-edge ({mapping[u]},{mapping[v]})"
+            return CheckResult(False, where=(u, v), detail=detail)
     return CheckResult(True)
 
 
@@ -155,36 +153,29 @@ def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> 
     return CheckResult(True)
 
 
-def check_shifted_edge_property(
-    G: Graph, family: RetractionFamily, cutoffs=None
-) -> CheckResult:
-    """For every edge uv and tested cutoff k: ``retract(k+1, u)`` is
-    adjacent (or equal) to ``retract(k, v)``, in both edge directions.
+def check_shifted_edge_property(G: Graph, family: RetractionFamily) -> CheckResult:
+    """For every edge uv and cutoff k: ``retract(k+1, u)`` is adjacent (or
+    equal) to ``retract(k, v)``, in both edge directions.
 
-    Default cutoffs cover every k at which both projections involved are
-    total; the result records the tested range in ``where`` on success.
+    The cutoffs are every k at which both projections involved are total:
+    1..n-1 for a constructing family, 0..max_total_cutoff()-1 for a
+    dismantling one. All of them are read from the table in one pass; the
+    first failure in (cutoff, edge) order is reported, and the tested
+    range sits in ``where`` on success.
     """
-    if cutoffs is None:
-        cons = family.flavor == "constructing"
-        cutoffs = range(1, G.order) if cons else range(0, family.max_total_cutoff())
-    cutoffs = list(cutoffs)
+    cons = family.flavor == "constructing"
+    lo, hi = (1, G.order) if cons else (0, family.max_total_cutoff())
     edges = G.edge_array()
     a, b = edges.reshape(-1), edges[:, ::-1].reshape(-1)  # (u, v) before (v, u)
-    adj = G.adjacency_matrix()
-    for k in cutoffs if len(a) else ():
-        try:
-            pa, pb = family.table[family._row(k + 1)][a], family.table[family._row(k)][b]
-        except ValueError:
-            i = 0  # a cutoff out of range fails the first pair; retract says how
-        else:
-            i = _first((pa < 0) | (pb < 0) | ~adj[pa, pb])
-        if i is None:
-            continue
-        u, v = int(a[i]), int(b[i])
-        try:
-            pu, pv = family.retract(k + 1, u), family.retract(k, v)
-        except NontotalRetractionError as err:
-            return CheckResult(False, where=(k, u, v), detail=str(err))
-        detail = f"cutoff {k}: edge ({u},{v}) shifts to non-edge ({pu},{pv})"
-        return CheckResult(False, where=(k, u, v), detail=detail)
-    return CheckResult(True, where=tuple(cutoffs))
+    pa, pb = family.table[lo + 1 : hi + 1][:, a], family.table[lo:hi][:, b]
+    i = _first((pa < 0) | (pb < 0) | ~G.adjacency_matrix()[pa, pb])
+    if i is None:
+        return CheckResult(True, where=tuple(range(lo, hi)))
+    k, i = divmod(i, len(a))
+    k, u, v = k + lo, int(a[i]), int(b[i])
+    try:
+        pu, pv = family.retract(k + 1, u), family.retract(k, v)
+    except NontotalRetractionError as err:
+        return CheckResult(False, where=(k, u, v), detail=str(err))
+    detail = f"cutoff {k}: edge ({u},{v}) shifts to non-edge ({pu},{pv})"
+    return CheckResult(False, where=(k, u, v), detail=detail)

@@ -132,6 +132,20 @@ def test_verify_reports_malformed_order_file(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_refuses_ambiguous_order_files(tmp_path, capsys):
+    prefix = str(tmp_path / "p3")
+    run("generate", "--family", "path", "--n", "3", "--out", prefix)
+    bad = tmp_path / "bad.order"
+    for text, err in (
+        ("order 0 1 2\norder 2 1 0\ndelta 1:2 0:1\n", "line 2: second 'order' line"),
+        ("order 0 1 2\ndelta 1:0 2:0 2:1\n", "line 2: vertex 2 has a second dominator"),
+    ):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert run("verify", "--graph", f"{prefix}.graph", "--order", str(bad)) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_verify_rejects_a_dominator_recorded_for_the_terminal(tmp_path, capsys):
     # The order used to verify, and `simulate --cop s_star` then failed on
     # a dominator cycle through the terminal.

@@ -195,7 +195,11 @@ def test_order_file_roundtrip_keeps_flavor():
     "order 0 1 x\n",                # non-integer vertex
     "order 0 1 2\ndelta 1-0\n",    # malformed pair
     "order 0 1 2\ndelta 1:y\n",    # non-integer dominator
-], ids=["dominator_outside", "vertex_outside", "bad_vertex", "bad_pair", "bad_dominator"])
+    "order 0 1 2\norder 2 1 0\ndelta 1:2 0:1\n",  # a second order line
+    "order 0 1 2\ndelta 1:0 2:0 2:1\n",            # a second dominator for 2
+    "order 0 1 2\ndelta 2:1\ndelta 1:0 2:1\n",     # ... on another line
+], ids=["dominator_outside", "vertex_outside", "bad_vertex", "bad_pair", "bad_dominator",
+        "two_orders", "two_dominators", "two_dominators_two_lines"])
 def test_bad_order_files_rejected(text):
     for flavor in ("auto", "constructing", "dismantling"):
         with pytest.raises(GraphFormatError):
