@@ -6,7 +6,9 @@ that the previous ply settled, with O(n^2) memory and float32 BLAS
 products for the neighbour counts. The survival DP is a backward sweep
 of boolean layers, one float32 BLAS product per round, that stops once
 the layers repeat with period 2 and returns only the layers it computed.
-``tests/test_kernels.py`` keeps plain-Python loop versions of both
+Both take the closed adjacency matrix of a reflexive graph, which must be
+symmetric: the kernels read its rows where the neighbour sums need its
+columns. ``tests/test_kernels.py`` keeps plain-Python loop versions of both
 kernels as reference oracles and checks that these give identical tables
 and survival layers.
 """
@@ -35,24 +37,29 @@ def backend() -> str:
 
 def _cop_step(A, dc, d, rows, block):
     # (c, r) with c' in N[c] among the new robber-to-move states (c', r).
-    near = np.flatnonzero(A[:, rows].any(axis=1))
-    hit = (A[np.ix_(near, rows)] @ block > 0) & (dc[near] < 0)
+    # A is symmetric, so the rows A[rows] are the columns A[:, rows].
+    Ar = A[rows]
+    near = np.logical_or.reduce(Ar, axis=0).nonzero()[0]
+    hit = (Ar[:, near].T @ block > 0) & (dc[near] < 0)
     return _settle(dc, d, near, hit)
 
 
 def _robber_step(A, cnt, dr, d, rows, block):
     # (c, r) whose last unsettled reply (c, r') is among the new states.
-    cnt[rows] -= block @ A
-    hit = (cnt[rows] == 0) & (dr[rows] < 0)
+    left = cnt[rows] - block @ A
+    cnt[rows] = left
+    hit = (left == 0) & (dr[rows] < 0)
     return _settle(dr, d, rows, hit)
 
 
 def _settle(dist, d, rows, hit):
     """Give the states in ``hit`` distance d; return them as the next
     frontier: the rows holding one, and those rows of ``hit`` as floats."""
-    keep = hit.any(axis=1)
+    keep = np.logical_or.reduce(hit, axis=1)
     rows, hit = rows[keep], hit[keep]
-    dist[rows] = np.where(hit, d, dist[rows])
+    settled = dist[rows]
+    settled[hit] = d
+    dist[rows] = settled
     return rows, hit.astype(np.float32)
 
 

@@ -28,7 +28,7 @@ from .engine import (
     transcript_to_text,
 )
 from .errors import CheckResult, GraphFormatError, PursuitError
-from .graphs import Graph, load_graph, save_graph
+from .graphs import MAX_FILE_ORDER, Graph, load_graph, save_graph
 from .orders import (
     _check_permutation,
     depth_table,
@@ -105,6 +105,8 @@ def _build_robber(kind: str, graph: Graph):
 
 
 def _cmd_generate(args) -> int:
+    if args.n is not None and args.n > MAX_FILE_ORDER:
+        raise PursuitError(f"--n {args.n} is above {MAX_FILE_ORDER}, the largest graph file order")
     built = generators.make(
         args.family, n=args.n, degree=args.degree, radius=args.radius, seed=args.seed
     )

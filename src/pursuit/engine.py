@@ -19,6 +19,7 @@ from .errors import (
     GraphFormatError,
     StrategyError,
     TranscriptFaultError,
+    parse_file,
 )
 from .graphs import Graph
 from .orders import depth_table
@@ -421,8 +422,7 @@ def transcript_from_json(text: str) -> Transcript:
 
 
 def load_transcript(path) -> Transcript:
-    with open(path, "r", encoding="utf-8") as fh:
-        return transcript_from_json(fh.read())
+    return parse_file(path, transcript_from_json)
 
 
 def save_transcript(path, T: Transcript) -> None:

@@ -67,6 +67,19 @@ class ProtectiveContradictionError(PursuitError):
     or the strategy is not protective)."""
 
 
+def parse_file(path, parse):
+    """``parse`` applied to the text of the file at ``path``. A
+    GraphFormatError it raises, or text that is not UTF-8, comes out as a
+    GraphFormatError naming the file: ``{path} line N: ...`` or
+    ``{path}: ...``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (GraphFormatError, UnicodeDecodeError) as err:
+        msg = str(err)
+        raise GraphFormatError(f"{path}{'' if msg.startswith('line ') else ':'} {msg}") from None
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of a verification: `ok` plus the first offending location."""

@@ -15,7 +15,7 @@ from numbers import Integral
 from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import GeneratorContractError, GraphFormatError
+from .errors import GeneratorContractError, GraphFormatError, parse_file
 
 # Hard cap on the size of a single neighbour set returned by a lazy oracle.
 NEIGHBOR_CAP = 100_000
@@ -314,8 +314,7 @@ def _parse_label(words: list[str], lineno: int) -> tuple[int, str]:
 
 
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Graph.from_text(fh.read())
+    return parse_file(path, Graph.from_text)
 
 
 def save_graph(path, graph: Graph) -> None:

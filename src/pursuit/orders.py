@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CheckResult, InvalidOrderError
+from .errors import CheckResult, InvalidOrderError, parse_file
 from .graphs import Graph, GraphFormatError
 
 
@@ -265,7 +265,7 @@ def order_from_text(text: str, flavor: str = "auto") -> Order:
             continue
         parts = line.split()
         if parts[0] not in ("order", "delta"):
-            raise GraphFormatError(f"unexpected line in order file: {line!r}")
+            raise GraphFormatError(f"line {lineno}: unexpected line {line!r}")
         try:
             if parts[0] == "order":
                 if sequence is not None:
@@ -295,8 +295,7 @@ def order_from_text(text: str, flavor: str = "auto") -> Order:
 
 
 def load_order(path) -> Order:
-    with open(path, "r", encoding="utf-8") as fh:
-        return order_from_text(fh.read())
+    return parse_file(path, order_from_text)
 
 
 def save_order(path, order: Order) -> None:

@@ -4,7 +4,8 @@ A constructing family projects any vertex onto the order's prefix below a
 cutoff rank by following its dominator chain downward; a dismantling
 family projects onto the suffix at-or-above a cutoff by following the
 chain upward. Both are retractions where defined. A family keeps all its
-projections in one table, built on first use.
+projections in one table, built on first use, and the family check finds
+every cutoff's first fault in one pass over that table.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class RetractionFamily:
         self.graph = graph
         self.order = order
         self.flavor = order.flavor
+        self._faults = None  # (graph, table, faults) of _first_faults
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -131,26 +133,56 @@ def _first(mask) -> int | None:
 
 def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> CheckResult:
     """One projection of the family is a retraction onto its prefix/suffix:
-    fixes the target region pointwise and maps edges to edges-or-equal."""
-    image = family.table[family._row(cutoff)]
-    if (v := _first(image < 0)) is not None:
+    fixes the target region pointwise and maps edges to edges-or-equal.
+    Every cutoff's first fault comes from one pass over the table."""
+    k = family._row(cutoff)
+    i = _first_faults(G, family)[k]
+    n = G.order
+    if i < 0:
+        return CheckResult(True)
+    if i < n:  # a -1 in the row
         try:
-            family.retract(cutoff, v)  # raises the error behind the -1
+            family.retract(cutoff, i)  # raises the error behind the -1
         except NontotalRetractionError as err:
             return CheckResult(False, where=(cutoff, err.vertex), detail=str(err))
-    ranks = family.ranks
-    in_target = ranks < cutoff if family.flavor == "constructing" else ranks >= cutoff
-    if (v := _first(~in_target[image])) is not None:
+    if i < 2 * n:
+        v = i - n
         return CheckResult(False, where=v, detail=f"image of {v} misses the target region")
-    if (h := _first(in_target & (image != np.arange(G.order)))) is not None:
-        return CheckResult(False, where=h, detail=f"target vertex {h} moved to {image[h]}")
-    edges = G.edge_array()
-    if (i := _first(~G.adjacency_matrix()[image[edges[:, 0]], image[edges[:, 1]]])) is not None:
-        u, v = edges[i].tolist()
+    if i < 3 * n:
+        h = i - 2 * n
         return CheckResult(
-            False, where=(cutoff, u, v), detail=f"cutoff {cutoff}: edge ({u},{v}) maps to non-edge"
+            False, where=h, detail=f"target vertex {h} moved to {family.table.item(k, h)}"
         )
-    return CheckResult(True)
+    u, v = G.edge_array()[i - 3 * n].tolist()
+    return CheckResult(
+        False, where=(cutoff, u, v), detail=f"cutoff {cutoff}: edge ({u},{v}) maps to non-edge"
+    )
+
+
+def _first_faults(G: Graph, family: RetractionFamily) -> list[int]:
+    """Per table row k, the first True of the row's fault mask [image -1 |
+    image off target | target vertex moved | edge -> non-edge], n, n, n and
+    m entries long, or -1 when there is none. The target of row k is ranks
+    < k when constructing, >= k when dismantling. Cached on the family for
+    this graph and table object."""
+    table = family.table
+    cached = family._faults
+    if cached is not None and cached[0] is G and cached[1] is table:
+        return cached[2]
+    n = G.order
+    ks = np.arange(n + 1)[:, None]
+    in_target = family.ranks < ks if family.flavor == "constructing" else family.ranks >= ks
+    edges = G.edge_array()
+    mask = np.concatenate((
+        table < 0,
+        ~np.take_along_axis(in_target, table, axis=1),
+        in_target & (table != np.arange(n)),
+        ~G.adjacency_matrix()[table[:, edges[:, 0]], table[:, edges[:, 1]]],
+    ), axis=1)
+    first = mask.argmax(axis=1)
+    faults = np.where(mask[np.arange(n + 1), first], first, -1).tolist()
+    family._faults = (G, table, faults)
+    return faults
 
 
 def check_shifted_edge_property(G: Graph, family: RetractionFamily) -> CheckResult:

@@ -27,6 +27,23 @@ def test_generate_order_solve_pipeline(tmp_path):
     assert run("verify", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order") == 0
 
 
+def test_generate_refuses_orders_no_graph_file_holds(tmp_path, capsys, monkeypatch):
+    from pursuit import generators
+    from pursuit.graphs import MAX_FILE_ORDER
+
+    def build(*args, **kwargs):
+        raise AssertionError("generate built a graph that no reader would take")
+
+    monkeypatch.setattr(generators, "make", build)
+    prefix = tmp_path / "huge"
+    for n in (MAX_FILE_ORDER + 1, 70000):
+        assert run("generate", "--family", "path", "--n", str(n), "--out", str(prefix)) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --n {n} is above {MAX_FILE_ORDER}, the largest graph file order\n"
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_c4_robber_win(tmp_path, capsys):
     prefix = str(tmp_path / "c4")
     run("generate", "--family", "cycle", "--n", "4", "--out", prefix)
@@ -143,7 +160,37 @@ def test_verify_refuses_ambiguous_order_files(tmp_path, capsys):
         bad.write_text(text)
         capsys.readouterr()
         assert run("verify", "--graph", f"{prefix}.graph", "--order", str(bad)) == 1
+        assert capsys.readouterr() == ("", f"error: {bad} {err}\n")
+
+
+def test_parse_errors_name_the_file_at_fault(tmp_path, capsys):
+    # with a graph and an order file both given, the error names the bad one
+    prefix = str(tmp_path / "p3")
+    run("generate", "--family", "path", "--n", "3", "--out", prefix)
+    graph, order = f"{prefix}.graph", f"{prefix}.order"
+    bad_graph, bad_order = tmp_path / "bad.graph", tmp_path / "bad.order"
+    bad_graph.write_text("3\n0 1\n1 x\n")
+    bad_order.write_text("order 0 1 2\norder 2 1 0\n")
+    for argv, err in (
+        (("--graph", str(bad_graph), "--order", order), f"{bad_graph} line 3: expected integers"),
+        (("--graph", graph, "--order", str(bad_order)), f"{bad_order} line 2: second 'order' line"),
+        (("--graph", str(bad_graph), "--order", str(bad_order)),
+         f"{bad_graph} line 3: expected integers"),
+    ):
+        capsys.readouterr()
+        assert run("verify", *argv) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
+    empty = tmp_path / "empty.order"
+    empty.write_text("# no order line\n")
+    capsys.readouterr()
+    assert run("verify", "--graph", graph, "--order", str(empty)) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {empty}: order file is missing its 'order' line\n"
+    )
+    bad_graph.write_bytes(b"\xff3\n")
+    capsys.readouterr()
+    assert run("verify", "--graph", str(bad_graph), "--order", order) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad_graph}: 'utf-8' codec can't decode")
 
 
 def test_verify_rejects_a_dominator_recorded_for_the_terminal(tmp_path, capsys):
@@ -564,7 +611,7 @@ def test_verify_without_order_leaves_chain_annotations_unread(tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", "--graph", f"{prefix}.graph", "--transcript", path) == 1
     assert capsys.readouterr() == (
-        "", "error: bad transcript file: stages entry 1 has the wrong length or types\n"
+        "", f"error: {path}: bad transcript file: stages entry 1 has the wrong length or types\n"
     )
 
 

@@ -399,7 +399,7 @@ def test_text_rejects_vertex_count_above_limit(tmp_path, capsys):
     path.write_text(text)
     assert main(["order", "--graph", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 1: vertex count") and err.count("\n") == 1
+    assert err.startswith(f"error: {path} line 1: vertex count") and err.count("\n") == 1
 
 
 def test_unlabelled_text_unchanged():

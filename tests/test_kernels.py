@@ -4,13 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from pursuit import _kernels as K
 from pursuit.generators import (
+    complete_graph,
     cycle_graph,
     double_wheel,
+    hubbed_path,
     leafless_tree_ball,
     path_graph,
     petersen_graph,
     random_connected_graph,
     random_constructible,
+    star_graph,
     wheel_tree,
 )
 from pursuit.graphs import Graph, ball
@@ -132,17 +135,46 @@ def test_tables_match_loops_on_balls(radius):
     _assert_tables_match_loops(ball(wheel_tree(), radius).graph)
 
 
+# many_small's named families, over the parameter ranges certbench draws
+_NAMED = (
+    [("double_wheel", double_wheel()[0]), ("petersen", petersen_graph())]
+    + [(f"hubbed_path({m})", hubbed_path(m).graph) for m in range(2, 9)]
+    + [(f"cycle({m})", cycle_graph(m)) for m in range(3, 17)]
+    + [(f"star({m})", star_graph(m)) for m in range(1, 16)]
+    + [(f"complete({m})", complete_graph(m)) for m in range(1, 17)]
+)
+
+
+@pytest.mark.parametrize("G", [G for _, G in _NAMED], ids=[name for name, _ in _NAMED])
+def test_tables_match_loops_on_named_graphs(G):
+    _assert_tables_match_loops(G)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (2, []),
+    (5, []),
+    (5, [(0, 1), (1, 2)]),               # a path and two isolated vertices
+    (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # two triangles
+    (7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]),          # C4, an edge, a point
+])
+def test_tables_match_loops_on_disconnected_graphs(n, edges):
+    _assert_tables_match_loops(Graph(n, edges))
+
+
 @st.composite
-def _small_graphs(draw, max_n=10):
+def _small_graphs(draw, max_n=10, connected=True):
+    """A random spanning tree plus up to 2n random edges; without
+    ``connected`` only the random edges, so components and isolated
+    vertices come up."""
     n = draw(st.integers(1, max_n))
-    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)] if connected else []
     pairs = [(u, v) for v in range(n) for u in range(v)]
     extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
     return Graph(n, [(p, v) for v, p in enumerate(parents, start=1)] + extra)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_small_graphs())
+@given(st.one_of(_small_graphs(), _small_graphs(connected=False)))
 def test_tables_match_loops_on_hypothesis_graphs(G):
     _assert_tables_match_loops(G)
 

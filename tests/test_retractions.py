@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from pursuit import (
     CheckResult,
     DistanceGreedyRobber,
     GameConfig,
+    Graph,
     InvalidOrderError,
     Order,
     NontotalRetractionError,
@@ -305,16 +307,35 @@ def _reference_chain(order, n, v):
     return out
 
 
-def reference_retract(fam, cutoff, v):
-    """Projection by walking v's dominator chain, one query at a time."""
-    order, n = fam.order, fam.graph.order
-    if order.flavor == "constructing":
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (PursuitError, KeyError) as err:
+        return err
+
+
+def _reference_chains(fam):
+    """v -> v's dominator chain, or the error walking it raised."""
+    n = fam.graph.order
+    return {v: _value_or_error(_reference_chain, fam.order, n, v) for v in range(n)}
+
+
+def _reference_cutoff(fam, cutoff):
+    """The cutoff a projection works at; ValueError when out of range."""
+    n = fam.graph.order
+    if fam.flavor == "constructing":
         if cutoff < 1:
             raise ValueError("constructing projections need cutoff >= 1")
-        cutoff = min(cutoff, n)
-    elif not (0 <= cutoff <= n - 1):
+        return min(cutoff, n)
+    if not (0 <= cutoff <= n - 1):
         raise ValueError(f"cutoff {cutoff} out of range")
-    return _reference_project(order, cutoff, v, _reference_chain(order, n, v))
+    return cutoff
+
+
+def reference_retract(fam, cutoff, v):
+    """Projection by walking v's dominator chain, one query at a time."""
+    cutoff = _reference_cutoff(fam, cutoff)
+    return _reference_project(fam.order, cutoff, v, _reference_chain(fam.order, fam.graph.order, v))
 
 
 def _reference_project(order, cutoff, v, chain):
@@ -330,24 +351,33 @@ def _reference_project(order, cutoff, v, chain):
     raise InvalidOrderError(f"chain of {v} never drops below rank {cutoff}: broken order")
 
 
-def reference_family_check(G, fam, cutoff):
+def reference_family_check(G, fam, cutoff, chains=None):
+    """The family check from dict and set lookups; ``chains`` from
+    ``_reference_chains(fam)`` spares walking every chain on each call."""
     rank = fam.order.rank_of
     if fam.flavor == "constructing":
         target = {v for v in G.vertices() if rank(v) < cutoff}
     else:
         target = {v for v in G.vertices() if rank(v) >= cutoff}
-    try:
-        image = {v: reference_retract(fam, cutoff, v) for v in G.vertices()}
-    except NontotalRetractionError as err:
-        return CheckResult(False, where=(cutoff, err.vertex), detail=str(err))
+    k = _reference_cutoff(fam, cutoff)
+    chains = _reference_chains(fam) if chains is None else chains
+    image = {}
+    for v in G.vertices():
+        if isinstance(chains[v], Exception):
+            raise chains[v]
+        try:
+            image[v] = _reference_project(fam.order, k, v, chains[v])
+        except NontotalRetractionError as err:
+            return CheckResult(False, where=(cutoff, err.vertex), detail=str(err))
     for v in G.vertices():
         if image[v] not in target:
             return CheckResult(False, where=v, detail=f"image of {v} misses the target region")
     for h in target:
         if image[h] != h:
             return CheckResult(False, where=h, detail=f"target vertex {h} moved to {image[h]}")
+    masks = G.closed_masks()
     for u, v in G.edges():
-        if not G.adjacent(image[u], image[v]):
+        if not masks[image[u]] >> image[v] & 1:
             return CheckResult(
                 False, where=(cutoff, u, v), detail=f"cutoff {cutoff}: edge ({u},{v}) maps to non-edge"
             )
@@ -365,20 +395,15 @@ def reference_shift_check(G, fam):
         )
         cutoffs = range(0, top)
 
-    def outcome(fn, *args):  # the value, or the error it raised
-        try:
-            return fn(*args)
-        except (PursuitError, KeyError) as err:
-            return err
-
     # each chain is walked once, and each projection made once
-    chains = {v: outcome(_reference_chain, fam.order, n, v) for v in G.vertices()}
+    chains = _reference_chains(fam)
     images = {}
 
     def image(k):
         if k not in images:
             images[k] = {
-                v: c if isinstance(c, Exception) else outcome(_reference_project, fam.order, k, v, c)
+                v: c if isinstance(c, Exception)
+                else _value_or_error(_reference_project, fam.order, k, v, c)
                 for v, c in chains.items()
             }
         return images[k]
@@ -542,9 +567,13 @@ def test_checkers_match_the_rebuilt_arrays_on_mutated_tables(n, seed, kind, rng)
         fam.table = table
 
 
-def test_shift_check_matches_both_oracles_at_benchmark_scale():
-    # the long_capture graphs of certbench; the Hypothesis cases stop at n = 14
+@functools.cache
+def _benchmark_orders():
+    """The long_capture graphs of certbench, each with its natural order,
+    that order shuffled with the root kept first (so every projection is
+    defined) and a dismantling order; the Hypothesis cases stop at n = 14."""
     rng = random.Random(41)
+    out = []
     for G in (
         random_constructible(60, 41)[0],
         random_constructible(120, 42)[0],
@@ -553,13 +582,49 @@ def test_shift_check_matches_both_oracles_at_benchmark_scale():
     ):
         natural, _ = naturalize_order(G, find_dominating_order(G))
         rest = list(natural.sequence[1:])
-        rng.shuffle(rest)  # the root stays first, so every projection is defined
+        rng.shuffle(rest)
         shuffled = Order((natural.sequence[0], *rest), natural.dominator, "constructing")
-        for order in (natural, shuffled, find_dismantling_order(G)):
-            fam = RetractionFamily(G, order)
-            got = _outcome(check_shifted_edge_property, G, fam)
-            assert got == _outcome(_rebuilt_shift_check, G, fam), order.flavor
-            assert got == _outcome(reference_shift_check, G, fam), order.flavor
+        out += [(G, order) for order in (natural, shuffled, find_dismantling_order(G))]
+    return out
+
+
+def test_shift_check_matches_both_oracles_at_benchmark_scale():
+    for G, order in _benchmark_orders():
+        fam = RetractionFamily(G, order)
+        got = _outcome(check_shifted_edge_property, G, fam)
+        assert got == _outcome(_rebuilt_shift_check, G, fam), order.flavor
+        assert got == _outcome(reference_shift_check, G, fam), order.flavor
+
+
+def test_family_check_matches_both_oracles_at_benchmark_scale():
+    for G, order in _benchmark_orders():
+        fam = RetractionFamily(G, order)
+        chains = _reference_chains(fam)
+        for k in range(-1, G.order + 2):
+            got = _outcome(check_family_retraction, G, fam, k)
+            assert got == _outcome(_rebuilt_family_check, G, fam, k), (order.flavor, k)
+            assert got == _outcome(reference_family_check, G, fam, k, chains), (order.flavor, k)
+
+
+def test_family_check_follows_the_table_and_graph_objects():
+    # each cutoff's result is cached for one graph object and one table
+    # object; a new one of either is checked afresh
+    G = path_graph(4)
+    fam = RetractionFamily(G, Order((0, 1, 2, 3), {1: 0, 2: 1, 3: 2}, "constructing"))
+    assert all(check_family_retraction(G, fam, k) for k in range(1, 5))
+    table = fam.table
+    fam.table = table.copy()
+    fam.table[2, 3] = 2  # 3 -> 2 at cutoff 2, outside the prefix {0, 1}
+    assert check_family_retraction(G, fam, 2) == CheckResult(
+        False, 3, "image of 3 misses the target region"
+    )
+    fam.table = table
+    assert check_family_retraction(G, fam, 2) == CheckResult(True)
+    star = Graph(4, [(0, 2), (1, 2), (2, 3)])  # edge (0, 2) maps to (0, 1)
+    assert check_family_retraction(star, fam, 2) == CheckResult(
+        False, (2, 0, 2), "cutoff 2: edge (0,2) maps to non-edge"
+    )
+    assert check_family_retraction(G, fam, 2) == CheckResult(True)
 
 
 def test_dominator_outside_the_graph_fails_only_past_it():
