@@ -35,7 +35,7 @@ _LAZY = {
                    "TableRobber", "chain_pursuit_move", "dismantling_pursuit_move",
                    "prefix_recursive_move", "protective_move"),
     "solver": ("GameTable", "SearchResult", "TimingProfile", "adversarial_search",
-               "decide_cop_win", "estimate_timing", "is_cop_win", "order_from_protective"),
+               "decide_cop_win", "estimate_timing", "order_from_protective"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 

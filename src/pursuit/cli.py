@@ -27,7 +27,7 @@ from .engine import (
     save_transcript,
     transcript_to_text,
 )
-from .errors import CheckResult, GraphFormatError, PursuitError
+from .errors import CheckResult, GraphFormatError, PursuitError, parse_file
 from .graphs import MAX_FILE_ORDER, Graph, load_graph, save_graph
 from .orders import (
     _check_permutation,
@@ -42,6 +42,8 @@ from .orders import (
 
 
 def _build_cop(kind: str, graph: Graph, order):
+    if kind not in ("optimal", "recursive", "s_star", "protective", "dismantable"):
+        raise PursuitError(f"unknown cop kind {kind!r}")
     from .retractions import RetractionFamily
     from .solver import decide_cop_win
     from .strategies import (
@@ -67,11 +69,9 @@ def _build_cop(kind: str, graph: Graph, order):
         return ChainPursuitCop(family, when_stuck=stuck)
     if kind == "protective":
         return ProtectiveCop(family)
-    if kind == "dismantable":
-        if family.flavor != "dismantling":
-            raise PursuitError("--cop dismantable needs a dismantling order")
-        return DismantlingPursuitCop(family)
-    raise PursuitError(f"unknown cop kind {kind!r}")
+    if family.flavor != "dismantling":
+        raise PursuitError("--cop dismantable needs a dismantling order")
+    return DismantlingPursuitCop(family)
 
 
 def _build_robber(kind: str, graph: Graph):
@@ -98,18 +98,29 @@ def _build_robber(kind: str, graph: Graph):
         return TableRobber(decide_cop_win(graph))
     if kind.startswith("script:"):
         path = kind.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            script = [int(tok) for tok in fh.read().split()]
-        return ScriptedRobber(script)
+        script = parse_file(path, str.split)
+        for tok in script:
+            if not (tok.isdecimal() and int(tok) < graph.order):
+                raise PursuitError(f"{path}: {tok!r} is not a vertex of the graph")
+        return ScriptedRobber([int(tok) for tok in script])
     raise PursuitError(f"unknown robber kind {kind!r}")
 
 
 def _cmd_generate(args) -> int:
-    if args.n is not None and args.n > MAX_FILE_ORDER:
-        raise PursuitError(f"--n {args.n} is above {MAX_FILE_ORDER}, the largest graph file order")
-    built = generators.make(
-        args.family, n=args.n, degree=args.degree, radius=args.radius, seed=args.seed
-    )
+    n, d, R = args.n, args.degree, args.radius
+    limit = f"{MAX_FILE_ORDER}, the largest graph file order"
+    if n is not None and n > MAX_FILE_ORDER:
+        raise PursuitError(f"--n {n} is above {limit}")
+    # ray and tree balls are refused unbuilt; (d - 1)**17 > MAX_FILE_ORDER when d >= 3
+    if args.family == "ray" and R is not None:
+        n = R + 1
+    elif args.family == "tree" and None not in (d, R) and d >= 2:
+        n = 1 + 2 * R if d == 2 else 1 + d * ((d - 1) ** min(R, 17) - 1) // (d - 2)
+    if n is None or n <= MAX_FILE_ORDER:
+        built = generators.make(args.family, n=args.n, degree=d, radius=R, seed=args.seed)
+        n = built.graph.order
+    if n > MAX_FILE_ORDER:
+        raise PursuitError(f"--family {args.family} gives more vertices than {limit}")
     save_graph(f"{args.out}.graph", built.graph)
     print(f"{args.out}.graph: {built.graph.order} vertices, {built.graph.edge_count()} edges")
     order = built.dominating or built.dismantling
@@ -196,7 +207,7 @@ def _cmd_verify(args) -> int:
     if args.retraction:
         from .retractions import check_retraction
 
-        mapping = _read_vertex_pairs(args.retraction, graph)
+        mapping = parse_file(args.retraction, lambda text: _parse_vertex_pairs(text, graph))
         fixed = {v for v in graph.vertices() if mapping.get(v) == v}
         res = check_retraction(graph, mapping, fixed)
         if res:
@@ -263,32 +274,31 @@ def _resolve_bound(args, graph, order):
         return int(args.bound)
     except ValueError:
         pass
-    bounds = _read_vertex_pairs(args.bound, graph)
+    bounds = parse_file(args.bound, lambda text: _parse_vertex_pairs(text, graph))
     for v in graph.vertices():
         if v not in bounds:
             raise GraphFormatError(f"{args.bound}: vertex {v} has no line")
     return [bounds[v] for v in graph.vertices()]
 
 
-def _read_vertex_pairs(path, graph) -> dict[int, int]:
-    """Read a file of ``u x`` lines (blank and ``#`` lines skipped) into
-    ``{u: x}``; each ``u`` must be a vertex of ``graph`` given once."""
+def _parse_vertex_pairs(text: str, graph) -> dict[int, int]:
+    """``{u: x}`` from ``u x`` lines (blank and ``#`` lines skipped); each
+    ``u`` must be a vertex of ``graph`` given once. Lines split at newlines
+    only, as a file's lines do; ``splitlines`` also splits at U+0085 and the like."""
     pairs: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                u, x = (int(tok) for tok in line.split())
-            except ValueError:
-                raise GraphFormatError(f"{where}: expected two integers")
-            if not 0 <= u < graph.order:
-                raise GraphFormatError(f"{where}: vertex {u} is not in the graph")
-            if u in pairs:
-                raise GraphFormatError(f"{where}: vertex {u} is repeated")
-            pairs[u] = x
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            u, x = (int(tok) for tok in line.split())
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: expected two integers")
+        if not 0 <= u < graph.order:
+            raise GraphFormatError(f"line {lineno}: vertex {u} is not in the graph")
+        if u in pairs:
+            raise GraphFormatError(f"line {lineno}: vertex {u} is repeated")
+        pairs[u] = x
     return pairs
 
 

@@ -270,15 +270,6 @@ def evaluate_classic(T: Transcript) -> bool:
     return T.captured
 
 
-def _bound_fn(bound, n: int):
-    if isinstance(bound, int):
-        return lambda v: bound
-    seq = list(bound)
-    if len(seq) != n:
-        raise ValueError("bound table must cover every vertex")
-    return lambda v: seq[v]
-
-
 def evaluate_weak(T: Transcript, bound) -> CheckResult:
     """Capture, or every vertex's robber visit count within its bound:
     ``bound`` is one int for every vertex or a vertex-indexed sequence.
@@ -290,13 +281,15 @@ def evaluate_weak(T: Transcript, bound) -> CheckResult:
     if T.captured:
         return CheckResult(True)
     n = len(T.visit_counts)
-    limit = _bound_fn(bound, n)
+    limit = [bound] * n if isinstance(bound, int) else list(bound)
+    if len(limit) != n:
+        raise ValueError("bound table must cover every vertex")
     counts = [0] * n
     for t, p, v in T.moves:
         if p != "robber":
             continue
         counts[v] += 1
-        if counts[v] > limit(v):
+        if counts[v] > limit[v]:
             return CheckResult(
                 False, where=v, detail=f"vertex {v} visited {counts[v]} times by round {t}"
             )

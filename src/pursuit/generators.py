@@ -313,23 +313,15 @@ def make(family: str, *, n: int | None = None, degree: int | None = None,
             raise ValueError(f"family {family!r} requires --{name}")
         return value
 
-    if family == "path":
-        g = path_graph(need(n, "n"))
-        return Generated(g, find_dominating_order(g))
-    if family == "cycle":
-        g = cycle_graph(need(n, "n"))
-        return Generated(g, find_dominating_order(g))
-    if family == "complete":
-        g = complete_graph(need(n, "n"))
-        return Generated(g, find_dominating_order(g))
-    if family == "star":
-        g = star_graph(need(n, "n"))
+    peeled = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph,
+              "star": star_graph}
+    if family in peeled:
+        g = peeled[family](need(n, "n"))
         return Generated(g, find_dominating_order(g))
     if family == "petersen":
         return Generated(petersen_graph())
     if family == "double_wheel":
-        g, order = double_wheel()
-        return Generated(g, order)
+        return Generated(*double_wheel())
     if family == "hubbed_path":
         built = hubbed_path(need(n, "n"))
         return Generated(built.graph, None, built.dismantling)
@@ -343,8 +335,7 @@ def make(family: str, *, n: int | None = None, degree: int | None = None,
         view = ball(wheel_tree(), need(radius, "radius"))
         return Generated(view.graph, view.dominating_order())
     if family == "random_constructible":
-        g, order = random_constructible(need(n, "n"), need(seed, "seed"))
-        return Generated(g, order)
+        return Generated(*random_constructible(need(n, "n"), need(seed, "seed")))
     if family == "random":
         return Generated(random_connected_graph(need(n, "n"), need(seed, "seed")))
     raise ValueError(f"unknown family {family!r}")

@@ -107,10 +107,6 @@ class Graph:
         self._check(v)
         return frozenset(self.closed_neighborhoods()[v])
 
-    def open_neighbors(self, v: int) -> frozenset[int]:
-        self._check(v)
-        return frozenset(self.closed_neighborhoods()[v]) - {v}
-
     def degree(self, v: int) -> int:
         self._check(v)
         return self._masks[v].bit_count() - 1

@@ -125,12 +125,6 @@ def check_retraction(G: Graph, mapping: dict, fixed) -> CheckResult:
     return CheckResult(True)
 
 
-def _first(mask) -> int | None:
-    """Index of the first True entry of a boolean array, or None."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
 def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> CheckResult:
     """One projection of the family is a retraction onto its prefix/suffix:
     fixes the target region pointwise and maps edges to edges-or-equal.
@@ -200,10 +194,10 @@ def check_shifted_edge_property(G: Graph, family: RetractionFamily) -> CheckResu
     edges = G.edge_array()
     a, b = edges.reshape(-1), edges[:, ::-1].reshape(-1)  # (u, v) before (v, u)
     pa, pb = family.table[lo + 1 : hi + 1][:, a], family.table[lo:hi][:, b]
-    i = _first((pa < 0) | (pb < 0) | ~G.adjacency_matrix()[pa, pb])
-    if i is None:
+    hits = np.flatnonzero((pa < 0) | (pb < 0) | ~G.adjacency_matrix()[pa, pb])
+    if not hits.size:
         return CheckResult(True, where=tuple(range(lo, hi)))
-    k, i = divmod(i, len(a))
+    k, i = divmod(int(hits[0]), len(a))
     k, u, v = k + lo, int(a[i]), int(b[i])
     try:
         pu, pv = family.retract(k + 1, u), family.retract(k, v)

@@ -16,10 +16,16 @@ from .orders import Order, dominators_within, verify_dominating_order
 _INF = float("inf")
 
 
+def _plies(d) -> float:
+    """A table entry as a capture distance: -1 (no forced capture) is infinite."""
+    return _INF if d < 0 else float(d)
+
+
 class GameTable:
     """Backward-induction result: ply distances to capture from every
     (cop, robber, side-to-move) state; -1 marks states the cop cannot
-    win. Write-once; safe to share."""
+    win. Write-once; safe to share. Both tables hold 0 on the diagonal
+    (capture), and the move choices rely on that: they read no other case."""
 
     def __init__(self, graph: Graph, cop_dist: np.ndarray, robber_dist: np.ndarray):
         self.graph = graph
@@ -38,23 +44,11 @@ class GameTable:
         # worst finite distance (0 on the diagonal when none is finite).
         return int(np.lexsort((d.max(axis=1), (d < 0).sum(axis=1)))[0])
 
-    def _cop_value(self, cp: int, r: int) -> float:
-        if cp == r:
-            return 0.0
-        d = self.robber_dist[cp, r]
-        return _INF if d < 0 else float(d)
-
-    def _robber_value(self, c: int, rp: int) -> float:
-        if rp == c:
-            return 0.0
-        d = self.cop_dist[c, rp]
-        return _INF if d < 0 else float(d)
-
     def cop_move(self, c: int, r: int) -> int:
         """Optimal cop move; on states with no forced capture, chase by
         BFS distance (deterministic fallback)."""
         options = self.graph.closed_neighborhoods()[c]
-        vals = [(self._cop_value(cp, r), cp) for cp in options]
+        vals = [(_plies(self.robber_dist[cp, r]), cp) for cp in options]
         best = min(vals)
         if best[0] < _INF:
             return best[1]
@@ -73,8 +67,7 @@ class GameTable:
     def robber_move(self, c: int, r: int) -> int:
         """Optimal robber move: safe if possible, else maximal delay."""
         options = self.graph.closed_neighborhoods()[r]
-        best = max(options, key=lambda rp: (self._robber_value(c, rp), -rp))
-        return best
+        return max(options, key=lambda rp: (_plies(self.cop_dist[c, rp]), -rp))
 
 
 def decide_cop_win(G: Graph) -> GameTable:
@@ -85,10 +78,6 @@ def decide_cop_win(G: Graph) -> GameTable:
         raise ValueError("graph must be connected")
     dc, dr = _kernels.game_distance_tables(G.adjacency_matrix())
     return GameTable(G, dc, dr)
-
-
-def is_cop_win(G: Graph) -> bool:
-    return decide_cop_win(G).cop_win
 
 
 # -- bounded adversarial search ---------------------------------------------
@@ -125,11 +114,6 @@ class SurviveWitness:
         repeat with period 2."""
         t0 = self.horizon + 2 - len(self.layers)
         return self.layers[t - t0 if t >= t0 else (t - t0) % 2]
-
-    def choose_start(self, c0: int) -> int | None:
-        # lowest allowed start; layer 2 has a false diagonal, so r0 != c0
-        safe = np.flatnonzero(self.layer(2)[c0] & self.allowed)
-        return int(safe[0]) if len(safe) else None
 
     def move(self, t: int, c: int, r: int) -> int:
         for rp in self.graph.closed_neighborhoods()[r]:

@@ -28,7 +28,7 @@ def test_generate_order_solve_pipeline(tmp_path):
 
 
 def test_generate_refuses_orders_no_graph_file_holds(tmp_path, capsys, monkeypatch):
-    from pursuit import generators
+    from pursuit import cli, generators
     from pursuit.graphs import MAX_FILE_ORDER
 
     def build(*args, **kwargs):
@@ -41,6 +41,22 @@ def test_generate_refuses_orders_no_graph_file_holds(tmp_path, capsys, monkeypat
         assert capsys.readouterr() == (
             "", f"error: --n {n} is above {MAX_FILE_ORDER}, the largest graph file order\n"
         )
+    # ray and tree balls are refused from their orders, R + 1 and
+    # 1 + d((d-1)^R - 1)/(d - 2), before anything is built
+    for flags in (("ray", "--radius", str(MAX_FILE_ORDER)), ("ray", "--radius", "70000"),
+                  ("tree", "--degree", "10", "--radius", "8"),
+                  ("tree", "--degree", "2", "--radius", str(MAX_FILE_ORDER // 2)),
+                  ("tree", "--degree", "3", "--radius", "1000000000000")):
+        assert run("generate", "--family", *flags, "--out", str(prefix)) == 1
+        assert capsys.readouterr() == ("", f"error: --family {flags[0]} gives more vertices "
+                                           f"than {MAX_FILE_ORDER}, the largest graph file order\n")
+    # every other family is checked once built, before any file is written
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_FILE_ORDER", 100)
+    assert run("generate", "--family", "wheel_tree", "--radius", "5", "--out", str(prefix)) == 1
+    assert capsys.readouterr() == (
+        "", "error: --family wheel_tree gives more vertices than 100, the largest graph file order\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 
@@ -191,6 +207,22 @@ def test_parse_errors_name_the_file_at_fault(tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", "--graph", str(bad_graph), "--order", order) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad_graph}: 'utf-8' codec can't decode")
+    # robber scripts and vertex-pair files
+    script, rmap = tmp_path / "bad.script", tmp_path / "bad.map"
+    for text, err in (("0 x\n", "'x' is not a vertex of the graph"),
+                      ("9 1\n", "'9' is not a vertex of the graph"),
+                      ("1 3\n", "'3' is not a vertex of the graph"),
+                      ("-1\n", "'-1' is not a vertex of the graph")):
+        script.write_text(text)
+        assert run("simulate", "--graph", graph, "--cop", "optimal",
+                   "--robber", f"script:{script}") == 1
+        assert capsys.readouterr() == ("", f"error: {script}: {err}\n")
+    script.write_bytes(b"0 \xff\n")
+    rmap.write_bytes(b"0 0\n\xff\n")
+    for path, argv in ((script, ("simulate", "--cop", "optimal", "--robber", f"script:{script}")),
+                       (rmap, ("verify", "--retraction", str(rmap)))):
+        assert run(*argv, "--graph", graph) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
 
 
 def test_verify_rejects_a_dominator_recorded_for_the_terminal(tmp_path, capsys):
@@ -325,6 +357,9 @@ def test_dismantable_cop_without_order_on_robber_win_graph(tmp_path, capsys):
         assert run(*extra, "--graph", f"{prefix}.graph", "--cop", "dismantable") == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: --cop dismantable needs an order")
+        # an unknown kind is refused before any order is looked for
+        assert run(*extra, "--graph", f"{prefix}.graph", "--cop", "foo") == 1
+        assert capsys.readouterr().err == "error: unknown cop kind 'foo'\n"
 
 
 def test_outputs_are_byte_identical(tmp_path):
@@ -464,7 +499,9 @@ def test_verify_accepts_complete_bound_file(tmp_path, capsys):
     ("0 0\n1 0\n1 1\n", "line 3: vertex 1 is repeated"),
     ("0 0\n-1 0\n", "line 2: vertex -1 is not in the graph"),
     ("0\n", "line 1: expected two integers"),
-], ids=["repeated", "outside", "one_field"])
+    # U+0085 ends a line for str.splitlines, not for a file read line by line
+    ("# next line\x85\n0 x\n", "line 2: expected two integers"),
+], ids=["repeated", "outside", "one_field", "next_line_char"])
 def test_verify_rejects_bad_retraction_file(tmp_path, capsys, text, message):
     prefix = str(tmp_path / "p3")
     run("generate", "--family", "path", "--n", "3", "--out", prefix)
@@ -742,7 +779,7 @@ PUBLIC = {
     "engine": "GameConfig Outcome Transcript check_pursuit_invariants check_shadow "
               "default_horizon evaluate_classic evaluate_cweak evaluate_weak play replay",
     "solver": "GameTable SearchResult TimingProfile adversarial_search decide_cop_win "
-              "estimate_timing is_cop_win order_from_protective",
+              "estimate_timing order_from_protective",
 }
 
 

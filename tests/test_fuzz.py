@@ -14,7 +14,7 @@ from pursuit import (
     ChainPursuitCop, DistanceGreedyRobber, GameConfig, GraphFormatError, RetractionFamily,
     ScriptedRobber, play,
 )
-from pursuit.cli import _read_vertex_pairs, main
+from pursuit.cli import _parse_vertex_pairs, main
 from pursuit.engine import replay, transcript_from_json, transcript_to_json
 from pursuit.generators import double_wheel, path_graph, random_connected_graph
 from pursuit.graphs import Graph
@@ -229,10 +229,8 @@ def test_cli_verify_on_fuzzed_transcript(tmp_path_factory, game, data, criterion
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(st.text(max_size=80), _mutated(_PAIR_TEXTS)))
-def test_bound_and_retraction_parser_parses_or_rejects(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("fuzz") / "pairs.txt"
-    path.write_text(text, encoding="utf-8")
-    _parses_or_format_error(lambda path: _read_vertex_pairs(path, _P5), str(path))
+def test_bound_and_retraction_parser_parses_or_rejects(text):
+    _parses_or_format_error(lambda text: _parse_vertex_pairs(text, _P5), text)
 
 
 @settings(max_examples=40, deadline=None)

@@ -272,9 +272,9 @@ def test_c4_state_values():
 
 
 def test_numpy_path_end_to_end():
-    from pursuit import is_cop_win
+    from pursuit import decide_cop_win
 
     assert K.backend() == "numpy"
     G, _ = double_wheel()
-    assert is_cop_win(G)
-    assert not is_cop_win(cycle_graph(5))
+    assert decide_cop_win(G).cop_win
+    assert not decide_cop_win(cycle_graph(5)).cop_win

@@ -213,12 +213,12 @@ def test_bad_order_files_rejected(text):
 
 
 def _open_sets(G):
-    return [set(G.open_neighbors(v)) for v in range(G.order)]
+    return [set(G.neighbors(v) - {v}) for v in range(G.order)]
 
 
 def _ref_peel(G):
     alive = set(range(G.order))
-    nbrs = {v: set(G.open_neighbors(v)) for v in alive}
+    nbrs = {v: set(G.neighbors(v) - {v}) for v in alive}
     removed = []
     dominator_of = {}
     while len(alive) > 1:

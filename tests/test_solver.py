@@ -22,7 +22,6 @@ from pursuit import (
     estimate_timing,
     find_dismantling_order,
     find_dominating_order,
-    is_cop_win,
     naturalize_order,
     order_from_protective,
     verify_dominating_order,
@@ -42,15 +41,22 @@ from pursuit.generators import (
 )
 
 
+def _witness_start(w, c0):
+    """The lowest allowed robber start the witness survives from against a
+    cop on ``c0``; layer 2 has a false diagonal, so it is never ``c0``."""
+    safe = np.flatnonzero(w.layer(2)[c0] & w.allowed)
+    return int(safe[0]) if len(safe) else None
+
+
 def test_paths_are_cop_win():
     for n in (1, 2, 5, 9):
-        assert is_cop_win(path_graph(n))
+        assert decide_cop_win(path_graph(n)).cop_win
 
 
 def test_c4_robber_win_block_cop_win():
-    assert not is_cop_win(cycle_graph(4))
+    assert not decide_cop_win(cycle_graph(4)).cop_win
     G, _ = double_wheel()
-    assert is_cop_win(G)
+    assert decide_cop_win(G).cop_win
 
 
 def test_table_consistency_winning_states_step_down():
@@ -89,7 +95,7 @@ def test_survive_agrees_with_solver():
     for seed in range(12):
         G = random_connected_graph(2 + seed % 8, 700 + seed)
         res = adversarial_search(G, 2 * G.order * G.order)
-        assert res.value == (not is_cop_win(G))
+        assert res.value == (not decide_cop_win(G).cop_win)
 
 
 def test_survive_edge_cases():
@@ -104,7 +110,7 @@ def test_survive_witness_replays():
     assert res.value and res.witness is not None
     w = res.witness
     c = 0
-    r = w.choose_start(c)
+    r = _witness_start(w, c)
     table = decide_cop_win(C5)
     t = 2
     while t <= 60:
@@ -149,7 +155,7 @@ def test_witness_survives_every_cop_past_the_fixpoint(name):
     for c0 in G.vertices():
         if c0 in cop_forbidden:
             continue
-        r0 = w.choose_start(c0)
+        r0 = _witness_start(w, c0)
         assert r0 is not None and r0 != c0 and r0 not in bad
         frontier.append((2, c0, r0))
     while frontier:
@@ -170,7 +176,7 @@ def test_witness_survives_every_cop_past_the_fixpoint(name):
     if not cop_forbidden:
         table = decide_cop_win(G)
         c = table.best_cop_start()
-        r = w.choose_start(c)
+        r = _witness_start(w, c)
         for t in range(2, h + 1):
             if t % 2 == 0:
                 c = table.cop_move(c, r)
@@ -481,8 +487,8 @@ def test_protective_roundtrip_on_samples():
 
 
 def test_star_and_complete_solver_sanity():
-    assert is_cop_win(star_graph(6))
-    assert is_cop_win(complete_graph(5))
+    assert decide_cop_win(star_graph(6)).cop_win
+    assert decide_cop_win(complete_graph(5)).cop_win
 
 
 def _protective_profile(G, order, horizon, **kw):
@@ -668,7 +674,7 @@ def test_accepted_protective_profiles_come_from_cop_win_graphs(case):
         recovered = order_from_protective(G, profile)
     except PursuitError:  # a rule undefined on its order, or a profile refused
         return
-    assert is_cop_win(G)
+    assert decide_cop_win(G).cop_win
     assert verify_dominating_order(G, recovered)
 
 
