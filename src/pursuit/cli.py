@@ -27,7 +27,7 @@ from .engine import (
     save_transcript,
     transcript_to_text,
 )
-from .errors import CheckResult, GraphFormatError, PursuitError, parse_file
+from .errors import CheckResult, GraphFormatError, PursuitError, parse_file, write_file
 from .graphs import MAX_FILE_ORDER, Graph, load_graph, save_graph
 from .orders import (
     _check_permutation,
@@ -99,6 +99,8 @@ def _build_robber(kind: str, graph: Graph):
     if kind.startswith("script:"):
         path = kind.split(":", 1)[1]
         script = parse_file(path, str.split)
+        if not script:
+            raise PursuitError(f"{path}: script must be nonempty")
         for tok in script:
             if not (tok.isdecimal() and int(tok) < graph.order):
                 raise PursuitError(f"{path}: {tok!r} is not a vertex of the graph")
@@ -131,17 +133,14 @@ def _cmd_generate(args) -> int:
         save_order(f"{args.out}.dismantling.order", built.dismantling)
         print(f"{args.out}.dismantling.order: dismantling")
     if args.dot:
-        with open(f"{args.out}.dot", "w", encoding="utf-8") as fh:
-            fh.write(built.graph.to_dot())
+        write_file(f"{args.out}.dot", built.graph.to_dot())
     return 0
 
 
 def _cmd_order(args) -> int:
     graph = load_graph(args.graph)
-    if args.flavor == "dismantling":
-        order = find_dismantling_order(graph)
-    else:
-        order = find_dominating_order(graph)
+    find = find_dismantling_order if args.flavor == "dismantling" else find_dominating_order
+    order = find(graph)
     if order is None:
         print("not constructible")
         return 0
@@ -158,24 +157,30 @@ def _cmd_solve(args) -> int:
     table = decide_cop_win(graph)
     print("cop-win" if table.cop_win else "robber-win")
     if args.table_out:
-        with open(args.table_out, "w", encoding="utf-8") as fh:
-            cop_dist, robber_dist = table.cop_dist.tolist(), table.robber_dist.tolist()
-            for c in range(graph.order):
-                for r in range(graph.order):
-                    fh.write(f"{c} {r} {cop_dist[c][r]} {robber_dist[c][r]}\n")
+        cop_dist, robber_dist = table.cop_dist.tolist(), table.robber_dist.tolist()
+        vertices = range(graph.order)
+        write_file(args.table_out, "".join(
+            f"{c} {r} {cop_dist[c][r]} {robber_dist[c][r]}\n" for c in vertices for r in vertices
+        ))
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _load(args, cop_kind=None):
+    """The graph of ``--graph``, the order of ``--order`` (None without
+    one) and, for a ``cop_kind``, that cop built on them (else None)."""
     graph = load_graph(args.graph)
     order = load_order(args.order) if args.order else None
-    cop = _build_cop(args.cop, graph, order)
+    cop = None if cop_kind is None else _build_cop(cop_kind, graph, order)
+    return graph, order, cop
+
+
+def _cmd_simulate(args) -> int:
+    graph, _, cop = _load(args, args.cop)
     robber = _build_robber(args.robber, graph)
     cfg = GameConfig(graph, cop, robber, max_rounds=args.horizon)
     transcript = play(cfg)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(transcript_to_text(transcript))
+        write_file(args.out, transcript_to_text(transcript))
     if args.json_out:
         save_transcript(args.json_out, transcript)
     out = transcript.outcome
@@ -189,20 +194,18 @@ def _cmd_verify(args) -> int:
         raise PursuitError("--criterion needs --transcript")
     if args.bound is not None and args.criterion != "weak":
         raise PursuitError("--bound needs --criterion weak")
-    graph = load_graph(args.graph)
-    order = load_order(args.order) if args.order else None
+    graph, order, _ = _load(args)
     failures = []
 
+    def report(name, result, fail_text, ok_text="ok"):
+        print(f"{name}: {ok_text if result else fail_text}")
+        if not result:
+            failures.append(name)
+
     if order is not None:
-        if order.flavor == "dismantling":
-            res = verify_dismantling_order(graph, order)
-        else:
-            res = verify_dominating_order(graph, order)
-        if res:
-            print("order: ok")
-        else:
-            print(f"order: FAIL at rank {res.where}: {res.detail}")
-            failures.append("order")
+        dismantling = order.flavor == "dismantling"
+        res = (verify_dismantling_order if dismantling else verify_dominating_order)(graph, order)
+        report("order", res, f"FAIL at rank {res.where}: {res.detail}")
 
     if args.retraction:
         from .retractions import check_retraction
@@ -210,11 +213,8 @@ def _cmd_verify(args) -> int:
         mapping = parse_file(args.retraction, lambda text: _parse_vertex_pairs(text, graph))
         fixed = {v for v in graph.vertices() if mapping.get(v) == v}
         res = check_retraction(graph, mapping, fixed)
-        if res:
-            print(f"retraction: ok onto {len(fixed)} fixed vertices")
-        else:
-            print(f"retraction: FAIL at {res.where}: {res.detail}")
-            failures.append("retraction")
+        report("retraction", res, f"FAIL at {res.where}: {res.detail}",
+               f"ok onto {len(fixed)} fixed vertices")
 
     if args.transcript:
         transcript = load_transcript(args.transcript)
@@ -227,25 +227,15 @@ def _cmd_verify(args) -> int:
             if inv is None and transcript.stages:
                 inv = check_pursuit_invariants(transcript)
         if inv is not None:
-            print("pursuit invariants: " + ("ok" if inv else f"FAIL: {inv.detail}"))
-            if not inv:
-                failures.append("invariants")
+            report("pursuit invariants", inv, f"FAIL: {inv.detail}")
         if args.criterion == "classic":
-            ok = evaluate_classic(transcript)
-            print(f"classic: {'ok' if ok else 'FAIL (no capture)'}")
-            if not ok:
-                failures.append("classic")
+            report("classic", evaluate_classic(transcript), "FAIL (no capture)")
         elif args.criterion == "weak":
-            bound = _resolve_bound(args, graph, order)
-            res = evaluate_weak(transcript, bound)
-            print("weak: " + ("ok" if res else f"FAIL: {res.detail}"))
-            if not res:
-                failures.append("weak")
+            res = evaluate_weak(transcript, _resolve_bound(args, graph, order))
+            report("weak", res, f"FAIL: {res.detail}")
         elif args.criterion == "cweak":
             res = evaluate_cweak(transcript)
-            print("cweak: " + ("ok" if res else f"FAIL (revisit at round {res.where})"))
-            if not res:
-                failures.append("cweak")
+            report("cweak", res, f"FAIL (revisit at round {res.where})")
 
     return 1 if failures else 0
 
@@ -305,9 +295,7 @@ def _parse_vertex_pairs(text: str, graph) -> dict[int, int]:
 def _cmd_timing(args) -> int:
     from .solver import estimate_timing, order_from_protective
 
-    graph = load_graph(args.graph)
-    order = load_order(args.order) if args.order else None
-    cop = _build_cop(args.cop, graph, order)
+    graph, _, cop = _load(args, args.cop)
     horizon = 4 * graph.order if args.horizon is None else args.horizon
     profile = estimate_timing(graph, cop, horizon)
     sys.stdout.write(profile.to_text())
@@ -368,9 +356,7 @@ class _InteractiveRobber:
 
 
 def _cmd_play(args, input_fn=input, output_fn=print) -> int:
-    graph = load_graph(args.graph)
-    order = load_order(args.order) if args.order else None
-    cop = _build_cop(args.cop, graph, order)
+    graph, _, cop = _load(args, args.cop)
     robber = _InteractiveRobber(input_fn, output_fn)
     try:
         transcript = play(GameConfig(graph, cop, robber, max_rounds=args.horizon))
@@ -458,7 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (PursuitError, GraphFormatError, OSError, ValueError) as err:
+    except (PursuitError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

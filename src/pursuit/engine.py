@@ -20,6 +20,7 @@ from .errors import (
     StrategyError,
     TranscriptFaultError,
     parse_file,
+    write_file,
 )
 from .graphs import Graph
 from .orders import depth_table
@@ -419,5 +420,4 @@ def load_transcript(path) -> Transcript:
 
 
 def save_transcript(path, T: Transcript) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(transcript_to_json(T))
+    write_file(path, transcript_to_json(T))

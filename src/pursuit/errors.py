@@ -68,16 +68,23 @@ class ProtectiveContradictionError(PursuitError):
 
 
 def parse_file(path, parse):
-    """``parse`` applied to the text of the file at ``path``. A
+    """``parse`` applied to the text of the file at ``path``, read with no
+    newline translation (the parsers split at ``"\n"`` only). A
     GraphFormatError it raises, or text that is not UTF-8, comes out as a
-    GraphFormatError naming the file: ``{path} line N: ...`` or
-    ``{path}: ...``."""
+    GraphFormatError naming the file: ``{path} line N: ...`` or ``{path}: ...``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return parse(fh.read())
     except (GraphFormatError, UnicodeDecodeError) as err:
         msg = str(err)
         raise GraphFormatError(f"{path}{'' if msg.startswith('line ') else ':'} {msg}") from None
+
+
+def write_file(path, text: str) -> None:
+    """Write ``text`` to the file at ``path`` as UTF-8: the package's one
+    text writer."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from numbers import Integral
 from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import GeneratorContractError, GraphFormatError, parse_file
+from .errors import GeneratorContractError, GraphFormatError, parse_file, write_file
 
 # Hard cap on the size of a single neighbour set returned by a lazy oracle.
 NEIGHBOR_CAP = 100_000
@@ -216,12 +216,12 @@ class Graph:
     @classmethod
     def from_text(cls, text: str) -> "Graph":
         """Parse :meth:`to_text` output. ``# label`` lines must name every
-        vertex once; other ``#`` lines are ignored. Each edge line is ORed
-        into the closed masks as it is read."""
+        vertex once; other ``#`` lines are ignored. Lines end at ``"\n"``
+        only, and each edge line is ORed into the closed masks as it is read."""
         n = None
         masks = bits = None  # set by the header line
         named = {}  # vertex -> (line number, label)
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             parts = raw.split()
             # the common line first: an edge after the header
             if len(parts) == 2 and n is not None and parts[0][0] != "#":
@@ -314,8 +314,7 @@ def load_graph(path) -> Graph:
 
 
 def save_graph(path, graph: Graph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph.to_text())
+    write_file(path, graph.to_text())
 
 
 def dominates(G: Graph, u: int, v: int) -> bool:

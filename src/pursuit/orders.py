@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CheckResult, InvalidOrderError, parse_file
-from .graphs import Graph, GraphFormatError
+from .errors import CheckResult, GraphFormatError, InvalidOrderError, parse_file, write_file
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -253,13 +253,13 @@ def order_to_text(order: Order) -> str:
     return f"{head}\ndelta {pairs}".rstrip() + "\n"
 
 
-def order_from_text(text: str, flavor: str = "auto") -> Order:
+def order_from_text(text: str) -> Order:
     """Parse :func:`order_to_text` output: one ``order`` line, and at most
-    one dominator per vertex, naming vertices of the sequence;
-    ``flavor="auto"`` reads the flavour off the dominator map's direction."""
+    one dominator per vertex, naming vertices of the sequence. Lines end
+    at ``"\n"`` only; the dominator map's direction gives the flavour."""
     sequence = None
     dominator = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -285,13 +285,10 @@ def order_from_text(text: str, flavor: str = "auto") -> Order:
     for v, d in sorted(dominator.items()):
         if v not in rank or d not in rank:
             raise GraphFormatError(f"dominator pair {v}:{d} names a vertex outside the order")
-    if flavor == "auto":
-        ups = sum(1 for v, d in dominator.items() if rank[d] > rank[v])
-        downs = len(dominator) - ups
-        if ups and downs:
-            raise GraphFormatError("mixed dominator directions; pass an explicit flavor")
-        flavor = "dismantling" if ups else "constructing"
-    return Order(sequence, dominator, flavor)
+    ups = sum(1 for v, d in dominator.items() if rank[d] > rank[v])
+    if ups and ups < len(dominator):
+        raise GraphFormatError("mixed dominator directions")
+    return Order(sequence, dominator, "dismantling" if ups else "constructing")
 
 
 def load_order(path) -> Order:
@@ -299,5 +296,4 @@ def load_order(path) -> Order:
 
 
 def save_order(path, order: Order) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(order_to_text(order))
+    write_file(path, order_to_text(order))

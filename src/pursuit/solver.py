@@ -56,13 +56,10 @@ class GameTable:
         return min(options, key=lambda cp: (int(dm[cp, r]), cp))
 
     def robber_start(self, c0: int) -> int:
-        n = self.graph.order
-        safe = [r for r in range(n) if r != c0 and self.cop_dist[c0, r] < 0]
-        if safe:
-            return min(safe)
-        candidates = [r for r in range(n) if r != c0]
+        """The lowest safe start, else the one with the longest capture delay."""
+        others = (r for r in range(self.graph.order) if r != c0)
         # on one vertex the robber can only start on the cop
-        return max(candidates, key=lambda r: (int(self.cop_dist[c0, r]), -r), default=c0)
+        return max(others, key=lambda r: (_plies(self.cop_dist[c0, r]), -r), default=c0)
 
     def robber_move(self, c: int, r: int) -> int:
         """Optimal robber move: safe if possible, else maximal delay."""

@@ -9,6 +9,8 @@ import pytest
 
 import pursuit
 from pursuit.cli import _cmd_play, build_parser, main
+from pursuit.graphs import load_graph
+from pursuit.orders import load_order, verify_dismantling_order
 
 
 def run(*argv):
@@ -25,6 +27,29 @@ def test_generate_order_solve_pipeline(tmp_path):
     assert run("order", "--graph", f"{prefix}.graph", "--out", out) == 0
     assert run("verify", "--graph", f"{prefix}.graph", "--order", out) == 0
     assert run("verify", "--graph", f"{prefix}.graph", "--order", f"{prefix}.order") == 0
+
+
+def test_generate_writes_dot_and_both_order_flavours(tmp_path, capsys):
+    prefix = str(tmp_path / "ray")
+    assert run("generate", "--family", "ray", "--radius", "3", "--out", prefix, "--dot") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"{prefix}.order: constructing", f"{prefix}.dismantling.order: dismantling",
+    ]
+    graph = load_graph(f"{prefix}.graph")
+    assert (tmp_path / "ray.dot").read_text(encoding="utf-8") == graph.to_dot()
+
+
+def test_order_writes_a_dismantling_order(tmp_path, capsys):
+    prefix, out = str(tmp_path / "wheel"), str(tmp_path / "found.order")
+    run("generate", "--family", "double_wheel", "--out", prefix)
+    argv = ("--graph", f"{prefix}.graph", "--flavor", "dismantling", "--out", out)
+    assert run("order", *argv) == 0
+    order = load_order(out)
+    assert order.flavor == "dismantling"
+    assert verify_dismantling_order(load_graph(f"{prefix}.graph"), order)
+    capsys.readouterr()
+    assert run("verify", "--graph", f"{prefix}.graph", "--order", out) == 0
+    assert capsys.readouterr().out == "order: ok\n"
 
 
 def test_generate_refuses_orders_no_graph_file_holds(tmp_path, capsys, monkeypatch):
@@ -66,6 +91,19 @@ def test_solve_c4_robber_win(tmp_path, capsys):
     capsys.readouterr()
     assert run("solve", "--graph", f"{prefix}.graph") == 0
     assert "robber-win" in capsys.readouterr().out
+
+
+def test_solve_writes_the_game_table(tmp_path):
+    from pursuit.solver import decide_cop_win
+
+    prefix, out = str(tmp_path / "p4"), tmp_path / "p4.table"
+    run("generate", "--family", "path", "--n", "4", "--out", prefix)
+    assert run("solve", "--graph", f"{prefix}.graph", "--table-out", str(out)) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "0 1 1 6"
+    table = decide_cop_win(load_graph(f"{prefix}.graph"))
+    assert lines == [f"{c} {r} {table.cop_dist[c, r]} {table.robber_dist[c, r]}"
+                     for c in range(4) for r in range(4)]
 
 
 def test_order_reports_not_constructible(tmp_path, capsys):
@@ -127,6 +165,20 @@ def test_verify_cweak_fails_on_oscillation(tmp_path):
     ) == 1
 
 
+def test_verify_prints_failed_criteria(tmp_path, capsys):
+    prefix, game = str(tmp_path / "c4"), str(tmp_path / "game.json")
+    run("generate", "--family", "cycle", "--n", "4", "--out", prefix)
+    run("simulate", "--graph", f"{prefix}.graph", "--cop", "optimal", "--robber", "adversarial",
+        "--horizon", "10", "--json-out", game)
+    weak_line = "weak: FAIL: vertex 2 visited 2 times by round 5"
+    for criterion, line in ((("classic",), "classic: FAIL (no capture)"),
+                            (("weak", "--bound", "1"), weak_line)):
+        capsys.readouterr()
+        assert run("verify", "--graph", f"{prefix}.graph", "--transcript", game,
+                   "--criterion", *criterion) == 1
+        assert capsys.readouterr() == (line + "\n", "")
+
+
 def test_scripted_and_evader_robbers_via_cli(tmp_path, capsys):
     prefix = str(tmp_path / "wheel")
     run("generate", "--family", "double_wheel", "--out", prefix)
@@ -177,6 +229,10 @@ def test_verify_refuses_ambiguous_order_files(tmp_path, capsys):
         capsys.readouterr()
         assert run("verify", "--graph", f"{prefix}.graph", "--order", str(bad)) == 1
         assert capsys.readouterr() == ("", f"error: {bad} {err}\n")
+    # dominators pointing both ways fit neither flavour
+    bad.write_text("order 0 1 2\ndelta 1:0 0:2\n")
+    assert run("verify", "--graph", f"{prefix}.graph", "--order", str(bad)) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: mixed dominator directions\n")
 
 
 def test_parse_errors_name_the_file_at_fault(tmp_path, capsys):
@@ -203,6 +259,16 @@ def test_parse_errors_name_the_file_at_fault(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"error: {empty}: order file is missing its 'order' line\n"
     )
+    # lines end at "\n" only: U+0085 inside a line does not end it
+    bad_graph.write_text("3\n0 1\x851 x\n", encoding="utf-8")
+    assert run("verify", "--graph", str(bad_graph), "--order", order) == 1
+    assert capsys.readouterr() == ("", f"error: {bad_graph} line 2: expected 'u v'\n")
+    bad_graph.write_bytes(b"3\r0 1\r\n")  # nor does a lone "\r": files are read untranslated
+    assert run("verify", "--graph", str(bad_graph), "--order", order) == 1
+    assert capsys.readouterr() == ("", f"error: {bad_graph} line 1: expected vertex count\n")
+    bad_order.write_text("# a comment \x85 x\norder 0 1 2\ndelta 1:0 2:1\n", encoding="utf-8")
+    assert run("verify", "--graph", graph, "--order", str(bad_order)) == 0
+    assert capsys.readouterr() == ("order: ok\n", "")
     bad_graph.write_bytes(b"\xff3\n")
     capsys.readouterr()
     assert run("verify", "--graph", str(bad_graph), "--order", order) == 1
@@ -217,6 +283,10 @@ def test_parse_errors_name_the_file_at_fault(tmp_path, capsys):
         assert run("simulate", "--graph", graph, "--cop", "optimal",
                    "--robber", f"script:{script}") == 1
         assert capsys.readouterr() == ("", f"error: {script}: {err}\n")
+    script.write_text("")
+    assert run("simulate", "--graph", graph, "--cop", "optimal",
+               "--robber", f"script:{script}") == 1
+    assert capsys.readouterr() == ("", f"error: {script}: script must be nonempty\n")
     script.write_bytes(b"0 \xff\n")
     rmap.write_bytes(b"0 0\n\xff\n")
     for path, argv in ((script, ("simulate", "--cop", "optimal", "--robber", f"script:{script}")),

@@ -78,10 +78,9 @@ def test_graph_parser_parses_or_rejects(text):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(st.text(max_size=80), _mutated(_ORDER_TEXTS)),
-       st.sampled_from(["auto", "constructing", "dismantling"]))
-def test_order_parser_parses_or_rejects(text, flavor):
-    _parses_or_format_error(lambda t: order_from_text(t, flavor=flavor), text)
+@given(st.one_of(st.text(max_size=80), _mutated(_ORDER_TEXTS)))
+def test_order_parser_parses_or_rejects(text):
+    _parses_or_format_error(order_from_text, text)
 
 
 @settings(max_examples=60, deadline=None)

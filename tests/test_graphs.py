@@ -256,7 +256,7 @@ def _ref_from_text(text):
     n = None
     edges = []
     named = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line.startswith("#"):
             words = line[1:].split(None, 2)

@@ -181,12 +181,9 @@ def test_order_file_roundtrip_keeps_flavor():
     for order in (find_dominating_order(G), find_dismantling_order(G)):
         again = order_from_text(order_to_text(order))
         assert again == order and again.flavor == order.flavor
-    text = "order 0 1 2\ndelta 1:0 2:1\n"
-    constructing = order_from_text(text, flavor="constructing")
-    dismantling = order_from_text(text, flavor="dismantling")
-    assert (constructing.flavor, dismantling.flavor) == ("constructing", "dismantling")
-    assert constructing != dismantling
-    assert order_from_text(order_to_text(dismantling), flavor="dismantling") == dismantling
+    # the dominators' direction alone gives the flavour
+    assert order_from_text("order 0 1 2\ndelta 1:0 2:1\n").flavor == "constructing"
+    assert order_from_text("order 0 1 2\ndelta 0:1 1:2\n").flavor == "dismantling"
 
 
 @pytest.mark.parametrize("text", [
@@ -198,12 +195,12 @@ def test_order_file_roundtrip_keeps_flavor():
     "order 0 1 2\norder 2 1 0\ndelta 1:2 0:1\n",  # a second order line
     "order 0 1 2\ndelta 1:0 2:0 2:1\n",            # a second dominator for 2
     "order 0 1 2\ndelta 2:1\ndelta 1:0 2:1\n",     # ... on another line
+    "order 0 1 2\ndelta 1:0 0:2\n",              # dominators point both ways
 ], ids=["dominator_outside", "vertex_outside", "bad_vertex", "bad_pair", "bad_dominator",
-        "two_orders", "two_dominators", "two_dominators_two_lines"])
+        "two_orders", "two_dominators", "two_dominators_two_lines", "mixed_directions"])
 def test_bad_order_files_rejected(text):
-    for flavor in ("auto", "constructing", "dismantling"):
-        with pytest.raises(GraphFormatError):
-            order_from_text(text, flavor=flavor)
+    with pytest.raises(GraphFormatError):
+        order_from_text(text)
 
 
 # -- differential tests of the bitmask domination test -----------------------

@@ -1,0 +1,97 @@
+"""Byte-identity sweep of the ``pursuit`` command line.
+
+    python tools/cli_sweep.py SRC OUT
+
+Runs a fixed grid of commands in-process through ``pursuit.cli.main``,
+with the ``pursuit`` package imported from SRC and OUT as the working
+directory. Every output file lands in OUT, and ``OUT/log.json`` records
+each command's argv, exit code, stdout and stderr. Two trees, for
+example a commit and its parent, behave alike on the grid when
+``diff -r OUT_A OUT_B`` prints nothing.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+FAMILIES = (
+    ("path", "--n", "6"), ("cycle", "--n", "5"), ("complete", "--n", "4"),
+    ("star", "--n", "5"), ("petersen",), ("double_wheel",), ("hubbed_path", "--n", "5"),
+    ("tree", "--degree", "3", "--radius", "2"), ("ray", "--radius", "3"),
+    ("wheel_tree", "--radius", "1"), ("random_constructible", "--n", "10", "--seed", "3"),
+    ("random", "--n", "8", "--seed", "2"),
+)
+COPS = ("optimal", "recursive", "s_star", "protective", "dismantable")
+ROBBERS = ("stationary", "greedy", "ray", "h_evader", "adversarial", "script:walk.script")
+# files that only a faulty reader accepts, or whose errors must name them
+BAD_FILES = {
+    "sep.graph": "3\n0 1\x851 x\n",
+    "cr.graph": "3\r0 1\r\n1 2\r\n",
+    "mixed.order": "order 0 1 2\ndelta 1:0 0:2\n",
+    "sep.order": "# a comment \x85 x\norder 0 1 2 3 4 5\ndelta 1:0 2:1 3:2 4:3 5:4\n",
+    "empty.script": "",
+}
+
+
+def main(src: str, out: str) -> None:
+    sys.path.insert(0, str(Path(src).resolve()))
+    Path(out).mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    from pursuit.cli import main as cli
+
+    log = []
+
+    def run(*argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli(list(argv))
+        log.append({"argv": argv, "exit": code, "stdout": stdout.getvalue(),
+                    "stderr": stderr.getvalue()})
+        return code
+
+    for name, text in BAD_FILES.items():
+        Path(name).write_text(text, encoding="utf-8")
+    Path("walk.script").write_text("1 0 1 2 1\n", encoding="utf-8")
+    run("solve", "--graph", "sep.graph")
+    run("solve", "--graph", "cr.graph")
+    run("simulate", "--graph", "sep.graph", "--cop", "optimal", "--robber", "greedy")
+    for family, *params in FAMILIES:
+        run("generate", "--family", family, *params, "--out", family, "--dot")
+        graph = f"{family}.graph"
+        run("solve", "--graph", graph, "--table-out", f"{family}.table")
+        run("order", "--graph", graph, "--flavor", "dominating", "--out", f"{family}.dom.order")
+        run("order", "--graph", graph, "--flavor", "dismantling", "--out", f"{family}.dis.order")
+        n = int(Path(graph).read_text(encoding="utf-8").split("\n", 1)[0])
+        for name, image in (("id", lambda v: v), ("const", lambda v: 0),
+                            ("shift", lambda v: (v + 1) % n)):
+            Path(f"{family}.{name}.map").write_text(
+                "".join(f"{v} {image(v)}\n" for v in range(n)), encoding="utf-8")
+            run("verify", "--graph", graph, "--retraction", f"{family}.{name}.map")
+        orders = sorted(p.name for p in Path().glob(f"{family}.*order"))
+        for order in orders + ["mixed.order", "sep.order"]:
+            run("verify", "--graph", graph, "--order", order)
+            run("timing", "--graph", graph, "--order", order, "--recover-order")
+        for order in [None, *orders]:
+            with_order = ("--order", order) if order else ()
+            for cop in COPS:
+                for robber in ROBBERS + ("script:empty.script",) * (cop == "optimal"):
+                    game = f"{family}.{order}.{cop}.{robber.replace(':', '_')}"
+                    if run("simulate", "--graph", graph, *with_order, "--cop", cop,
+                           "--robber", robber, "--horizon", "12",
+                           "--out", f"{game}.txt", "--json-out", f"{game}.json"):
+                        continue
+                    for criterion in (("classic",), ("weak", "--bound", "default"),
+                                      ("weak", "--bound", "1"), ("cweak",)):
+                        run("verify", "--graph", graph, *with_order, "--transcript",
+                            f"{game}.json", "--criterion", *criterion)
+    Path("log.json").write_text(json.dumps(log, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(log)} commands, {sum(1 for _ in Path().iterdir())} files in {out}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    main(*sys.argv[1:])
