@@ -292,7 +292,7 @@ def _label_text(name) -> str:
     """``name`` as written on a ``# label`` line; refuses names that would
     not read back unchanged."""
     text = str(name)
-    if not text or text != text.strip() or len(text.splitlines()) != 1:
+    if not text or text != text.strip() or "\n" in text:
         raise ValueError(f"label {text!r} cannot be stored in a graph file")
     return text
 

@@ -294,8 +294,8 @@ def estimate_timing(G: Graph, cop, horizon: int, *, budget: int | None = None) -
     fixed strategy ``cop``, branching over all robber behaviours.
 
     Walks the layers of uncaptured states, one per round up to
-    ``horizon``, asking ``cop.rule`` once per cop round for the move
-    function it then calls on every state. A layer that outgrows
+    ``horizon``, calling ``cop.move`` on every state of a cop round, so
+    it walks any cop that ``play`` accepts. A layer that outgrows
     ``budget`` stops the walk and marks the profile truncated."""
     if horizon < 0:
         raise ValueError(f"horizon must be at least 0, got {horizon}")
@@ -306,6 +306,7 @@ def estimate_timing(G: Graph, cop, horizon: int, *, budget: int | None = None) -
     cop_earliest[c0] = 0
     layer = {(c0, r0) for r0 in range(n) if r0 != c0}
     nbhds = G.closed_neighborhoods()
+    move = cop.move
     truncated = False
     t = 1
     while t <= horizon and layer:
@@ -316,9 +317,8 @@ def estimate_timing(G: Graph, cop, horizon: int, *, budget: int | None = None) -
             break
         nxt = set()
         if t % 2 == 1:  # the cop replies in round t + 1
-            move = cop.rule(G, t + 1)
             for c, r in layer:
-                m = move(c, r)
+                m = move(G, c, r, t + 1)
                 if cop_earliest[m] < 0:
                     cop_earliest[m] = t + 1
                 if m != r:

@@ -1,16 +1,15 @@
 """Cop move rules and robber policies.
 
-Cop strategies expose ``start(G)``, ``move(G, c, r, round)`` and
-``rule(G, round)``, which is ``move`` for one round as a function of
-``(c, r)``; robber policies expose ``start(G, c)`` and ``move(G, c, r)``.
-Strategy context (orders, projection families, solver tables) is
-immutable and shared; policies that track history are single-game
-objects.
+Cop strategies expose ``start(G)`` and ``move(G, c, r, round)``, the whole
+protocol of both ``play`` and ``estimate_timing``; a cop's ``kind`` names
+its transcripts. Robber policies expose ``start(G, c)`` and
+``move(G, c, r)``. Strategy context (orders, projection families, solver
+tables) is immutable and shared, and so are the cops: ``ProtectiveCop``
+caches one table row, a pure function of its family and the round.
+Robber policies that track history are single-game objects.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from .errors import (
     ScriptError,
@@ -95,15 +94,7 @@ def dismantling_pursuit_move(family: RetractionFamily, c: int, r: int) -> int:
     return d
 
 
-class _UntimedCop:
-    """Base of the cop rules that ignore the round."""
-
-    def rule(self, G: Graph, round: int):
-        """``move(G, c, r, round)`` as a function of ``(c, r)``."""
-        return partial(self.move, G)
-
-
-class ChainPursuitCop(_UntimedCop):
+class ChainPursuitCop:
     kind = "chain"
 
     def __init__(self, family: RetractionFamily, when_stuck: str = "error"):
@@ -115,11 +106,11 @@ class ChainPursuitCop(_UntimedCop):
     def start(self, G: Graph) -> int:
         return self.family.order.sequence[0]
 
-    def move(self, G: Graph, c: int, r: int, round: int = 0) -> int:
+    def move(self, G: Graph, c: int, r: int, round: int) -> int:
         return chain_pursuit_move(self.family, c, r, when_stuck=self.when_stuck)
 
 
-class PrefixRecursiveCop(_UntimedCop):
+class PrefixRecursiveCop:
     kind = "recursive"
 
     def __init__(self, order: Order):
@@ -128,7 +119,7 @@ class PrefixRecursiveCop(_UntimedCop):
     def start(self, G: Graph) -> int:
         return self.order.sequence[0]
 
-    def move(self, G: Graph, c: int, r: int, round: int = 0) -> int:
+    def move(self, G: Graph, c: int, r: int, round: int) -> int:
         return prefix_recursive_move(G, self.order, c, r)
 
 
@@ -139,30 +130,26 @@ class ProtectiveCop:
         if family.flavor != "constructing":
             raise ValueError("protective play needs a constructing family")
         self.family = family
+        self._last = (None, None)
 
     def start(self, G: Graph) -> int:
         return self.family.order.sequence[0]
 
     def move(self, G: Graph, c: int, r: int, round: int) -> int:
-        return protective_move(self.family, r, round)
-
-    def rule(self, G: Graph, round: int):
-        """``move(G, c, r, round)`` as a function of ``(c, r)``: on even
-        rounds a lookup in one row of the family's table, with ``move``
-        raising the exact error where the entry is -1."""
-        if round % 2 != 0:
-            return partial(self.move, G, round=round)  # raises like move
-        family = self.family
-        row = family.table[family._row(round // 2 + 1)].tolist()
-
-        def move(c: int, r: int) -> int:
-            m = row[r]
-            return m if m >= 0 else self.move(G, c, r, round)
-
-        return move
+        last, row = self._last  # (round, that round's table row as a list or None), replaced whole
+        if round != last:  # play asks once per round; the timing walk asks once per state
+            m = protective_move(self.family, r, round)
+            self._last = (round, None)
+            return m
+        if row is None:  # the round's second call: list its row once
+            family = self.family
+            row = family.table[family._row(round // 2 + 1)].tolist()
+            self._last = (round, row)
+        m = row[r]
+        return m if m >= 0 else protective_move(self.family, r, round)  # the exact error
 
 
-class DismantlingPursuitCop(_UntimedCop):
+class DismantlingPursuitCop:
     kind = "dismantling"
 
     def __init__(self, family: RetractionFamily):
@@ -173,11 +160,11 @@ class DismantlingPursuitCop(_UntimedCop):
     def start(self, G: Graph) -> int:
         return self.family.order.sequence[0]
 
-    def move(self, G: Graph, c: int, r: int, round: int = 0) -> int:
+    def move(self, G: Graph, c: int, r: int, round: int) -> int:
         return dismantling_pursuit_move(self.family, c, r)
 
 
-class TableCop(_UntimedCop):
+class TableCop:
     kind = "table"
 
     def __init__(self, table: GameTable):
@@ -186,7 +173,7 @@ class TableCop(_UntimedCop):
     def start(self, G: Graph) -> int:
         return self.table.best_cop_start()
 
-    def move(self, G: Graph, c: int, r: int, round: int = 0) -> int:
+    def move(self, G: Graph, c: int, r: int, round: int) -> int:
         return self.table.cop_move(c, r)
 
 
@@ -201,8 +188,6 @@ def _farthest_vertex(G: Graph, c: int) -> int:
 class StationaryRobber:
     """Starts farthest from the cop and stays; ``ScriptedRobber([v])`` stays at v."""
 
-    kind = "stationary"
-
     def start(self, G: Graph, c: int) -> int:
         return _farthest_vertex(G, c)
 
@@ -214,8 +199,6 @@ class DistanceGreedyRobber:
     """Moves to the closed neighbour maximising BFS distance to the cop,
     ties broken by lowest vertex id."""
 
-    kind = "greedy"
-
     def start(self, G: Graph, c: int) -> int:
         return _farthest_vertex(G, c)
 
@@ -226,8 +209,6 @@ class DistanceGreedyRobber:
 
 class RayRunnerRobber:
     """Walks a designated vertex path, staying put once it ends."""
-
-    kind = "ray"
 
     def __init__(self, path):
         if not path:
@@ -253,8 +234,6 @@ class CycleEvaderRobber:
     distance to the cop's projection onto the cycle; when the cop stands
     at the hub, stays if already maximal and otherwise steps back to
     where it came from."""
-
-    kind = "h_evader"
 
     def __init__(self, cycle, hub: int):
         if len(cycle) != 5:
@@ -314,8 +293,6 @@ class TableRobber:
     """Optimal adversary from a solver table: safe moves when they exist,
     maximal capture delay otherwise."""
 
-    kind = "adversarial"
-
     def __init__(self, table: GameTable):
         self.table = table
 
@@ -329,8 +306,6 @@ class TableRobber:
 class ScriptedRobber:
     """Replays a fixed move list (first entry is the start); stays put
     once the script runs out."""
-
-    kind = "scripted"
 
     def __init__(self, script):
         if not script:

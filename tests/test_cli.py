@@ -830,6 +830,31 @@ def test_play_refuses_horizon_zero(path_game, capsys):
     assert capsys.readouterr() == ("", "error: max_rounds must be at least 2\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--order", "dis.order", "--cop", "recursive", "--robber", "greedy"],
+     "--cop recursive needs a dominating order"),
+    (["simulate", "--order", "p.order", "--cop", "dismantable", "--robber", "greedy"],
+     "--cop dismantable needs a dismantling order"),
+    (["simulate", "--cop", "optimal", "--robber", "h_evader"],
+     "--robber h_evader needs a labelled wheel-block graph"),
+    (["simulate", "--cop", "optimal", "--robber", "nobody"], "unknown robber kind 'nobody'"),
+    (["verify", "--transcript", "game.json", "--criterion", "weak"],
+     "--bound default needs --order to derive depths"),
+    (["timing", "--order", "dis.order", "--cop", "protective"],
+     "protective play needs a constructing family"),
+], ids=["recursive", "dismantable", "h_evader", "robber_kind", "weak_depths", "protective"])
+def test_strategy_and_criterion_errors_are_one_line(path_game, tmp_path, capsys, argv, message):
+    dis = tmp_path / "dis.order"
+    assert run("order", "--graph", str(path_game / "p.graph"), "--flavor", "dismantling",
+               "--out", str(dis)) == 0
+    files = {"dis.order": dis, "p.order": path_game / "p.order",
+             "game.json": path_game / "game.json"}
+    argv = [str(files.get(a, a)) for a in argv]
+    capsys.readouterr()
+    assert run(argv[0], "--graph", str(path_game / "p.graph"), *argv[1:]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # every name the package exported when it imported all of its modules eagerly
 PUBLIC = {
     "errors": "CheckResult EngineInvariantError GeneratorContractError GraphFormatError "

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -250,6 +251,39 @@ def test_shadow_detects_illegal_walk():
     T = Transcript(moves, Outcome("horizon"), (0, 0, 0, 1), horizon=2)
     res = check_shadow(T, P4, {0: 0, 1: 1, 2: 2, 3: 3})
     assert not res  # cop hop 0 -> 2 is not an edge
+
+
+def _p5_chain_pursuit():
+    P5 = path_graph(5)
+    return P5, play(GameConfig(P5, chain_cop(P5), StationaryRobber()))
+
+
+def test_pursuit_invariants_name_each_fault():
+    _, T = _p5_chain_pursuit()
+    assert T.captured and len(T.stages) == 4
+    for edit, detail in (
+        ({"stages": T.stages[::-1]}, "stage dropped to 4 at round 6"),
+        ({"chain_events": T.chain_events + T.chain_events[-1:]}, "failed to decrease"),
+        ({"stages": T.stages[1:]}, "cop move without a chain annotation"),
+    ):
+        res = check_pursuit_invariants(dataclasses.replace(T, **edit))
+        assert not res and detail in res.detail
+
+
+def test_shadow_names_each_fault():
+    P5, T = _p5_chain_pursuit()  # the cop walks 4, 3, 2, 1, 0 onto the robber at 0
+    identity = {v: v for v in P5.vertices()}
+    for change, detail in (
+        ({4: 0}, "shadow step 0 -> 3 is not an edge"),
+        ({0: 1}, "robber at 0 not fixed by the map"),
+    ):
+        res = check_shadow(T, P5, {**identity, **change})
+        assert not res and res.detail == detail
+    # a capture claimed where the cop and the robber stand apart
+    moves = ((0, "cop", 0), (1, "robber", 3), (2, "cop", 1))
+    T = Transcript(moves, Outcome("capture", 2), (0, 0, 0, 1), horizon=2)
+    res = check_shadow(T, P5, identity)
+    assert not res and res.detail == "capture does not shadow to a capture"
 
 
 def test_transcript_serialisation_roundtrip():

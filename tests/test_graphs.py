@@ -410,8 +410,11 @@ def test_unlabelled_text_unchanged():
 
 @pytest.mark.parametrize(
     "G",
-    [double_wheel()[0], ball(wheel_tree(), 2).graph],
-    ids=["double_wheel", "wheel_tree_ball"],
+    [double_wheel()[0], ball(wheel_tree(), 2).graph]
+    # names that hold a line separator other than "\n", which the parser does not split at
+    + [Graph(2, [(0, 1)], labels=(name, "ok"))
+       for name in ("a\x85b", "a\u2028b", "a\x1cb", "a\rb")],
+    ids=["double_wheel", "wheel_tree_ball", "nel", "line_sep", "file_sep", "cr"],
 )
 def test_labels_survive_text_roundtrip(G):
     text = G.to_text()
@@ -443,7 +446,7 @@ def test_bad_label_lines_rejected(text, where):
 
 
 def test_unstorable_label_refused():
-    for name in ("", " lead", "two\nlines"):
+    for name in ("", " lead", "two\nlines", "a\r\nb"):
         with pytest.raises(ValueError):
             Graph(2, [(0, 1)], labels=("ok", name)).to_text()
 

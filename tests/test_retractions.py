@@ -128,6 +128,12 @@ def test_check_retraction_image_escape_reported():
     assert not res and res.where == 2
 
 
+def test_check_retraction_unfixed_target_reported():
+    P3 = path_graph(3)
+    res = check_retraction(P3, {0: 1, 1: 1, 2: 1}, {0, 1})
+    assert not res and res.where == 0 and res.detail == "target vertex 0 not fixed"
+
+
 def test_ray_ball_dismantling_shift_full_range():
     view = ball(ray(), 10)
     fam = RetractionFamily(view.graph, view.dismantling_order())

@@ -1,3 +1,4 @@
+import random
 import time
 
 import numpy as np
@@ -24,6 +25,7 @@ from pursuit import (
     find_dominating_order,
     naturalize_order,
     order_from_protective,
+    protective_move,
     verify_dominating_order,
 )
 from pursuit.graphs import Graph, ball
@@ -459,6 +461,14 @@ def test_timing_p3_protective_profile():
     assert rec.sequence == (0, 1, 2)
 
 
+def test_truncated_profile_refused():
+    P5 = path_graph(5)
+    prof = _protective_profile(P5, find_dominating_order(P5), 20, budget=1)
+    assert prof.truncated
+    with pytest.raises(ProtectiveContradictionError, match="profile truncated: raise the budget"):
+        order_from_protective(P5, prof)
+
+
 def test_non_protective_profile_raises():
     C4 = cycle_graph(4)
     cop = TableCop(decide_cop_win(C4))
@@ -633,6 +643,13 @@ def test_timing_walk_matches_the_reference_walk(case, data):
     _assert_timing_matches_the_reference(G, cop, horizon, budget)
 
 
+class _MoveOnly:
+    """A cop with only ``start`` and ``move``, all that ``play`` asks for."""
+
+    def __init__(self, cop):
+        self.start, self.move = cop.start, cop.move
+
+
 @pytest.mark.parametrize("kind", COP_KINDS)
 def test_timing_walk_matches_the_reference_walk_on_constructible_graphs(kind):
     for n, seed in ((12, 5), (24, 6), (40, 7)):
@@ -644,6 +661,33 @@ def test_timing_walk_matches_the_reference_walk_on_constructible_graphs(kind):
         for budget in (None, n, 4 * n):
             got = _assert_timing_matches_the_reference(G, cop, 4 * n, budget)
             assert got[0] == "ok"
+            assert _outcome(estimate_timing, G, _MoveOnly(cop), 4 * n, budget=budget) == got
+
+
+def test_protective_row_cache_matches_protective_move():
+    # the cop lists a round's table row on the round's second call; every
+    # call must still return or raise exactly what protective_move does
+    P6 = path_graph(6)
+    G12, shipped = random_constructible(12, 5)
+    cases = [
+        (P6, naturalize_order(P6, find_dominating_order(P6))[0]),
+        (G12, naturalize_order(G12, shipped)[0]),
+    ] + [  # the broken P4 orders of the test below
+        (path_graph(4), Order((0, 1, 2, 3), dominator, "constructing"))
+        for dominator in ({1: 0, 2: 3, 3: 2}, {1: 0, 3: 2})
+    ]
+    rng = random.Random(24)
+    for G, order in cases:
+        family = RetractionFamily(G, order)
+        cop = ProtectiveCop(family)
+        n = G.order
+        rounds = list(range(-2, 2 * n + 4))
+        rng.shuffle(rounds)
+        for round in rounds * 2:
+            for r in rng.sample(range(n), n):
+                want = _outcome(protective_move, family, r, round)
+                for _ in range(2):
+                    assert _outcome(cop.move, G, 0, r, round) == want
 
 
 def test_timing_walk_raises_what_the_reference_walk_raises():

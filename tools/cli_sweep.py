@@ -73,7 +73,12 @@ def main(src: str, out: str) -> None:
         orders = sorted(p.name for p in Path().glob(f"{family}.*order"))
         for order in orders + ["mixed.order", "sep.order"]:
             run("verify", "--graph", graph, "--order", order)
-            run("timing", "--graph", graph, "--order", order, "--recover-order")
+        for order in [None, *orders, "mixed.order", "sep.order"]:
+            with_order = ("--order", order) if order else ()
+            for cop in COPS:
+                for horizon in ((), ("--horizon", "7")):
+                    run("timing", "--graph", graph, *with_order, "--cop", cop, *horizon,
+                        "--recover-order")
         for order in [None, *orders]:
             with_order = ("--order", order) if order else ()
             for cop in COPS:
