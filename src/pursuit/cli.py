@@ -317,7 +317,6 @@ class _InteractiveRobber:
     def __init__(self, input_fn, output_fn):
         self.input_fn = input_fn
         self.output_fn = output_fn
-        self.round = 1
 
     def _read(self, prompt: str) -> str:
         try:
@@ -339,12 +338,11 @@ class _InteractiveRobber:
             except ValueError:
                 self.output_fn("not a vertex; pick an id from the graph")
 
-    def move(self, G: Graph, c: int, r: int) -> int:
-        self.output_fn(f"round {self.round + 1}: cop -> {c} ({G.label(c)})")
-        self.round += 2
+    def move(self, G: Graph, c: int, r: int, round: int) -> int:
+        self.output_fn(f"round {round - 1}: cop -> {c} ({G.label(c)})")
         legal = sorted(G.neighbors(r))
         while True:
-            raw = self._read(f"round {self.round}, robber at {r}, moves {legal}> ")
+            raw = self._read(f"round {round}, robber at {r}, moves {legal}> ")
             try:
                 cand = int(raw)
             except ValueError:

@@ -3,9 +3,11 @@ evaluators.
 
 Round convention: the cop places in round 0, the robber places in round
 1, and thereafter the cop moves on even rounds and the robber on odd
-rounds. Capture is checked after every move, so a robber stepping onto
-the cop counts. A robber "visit" is recorded at his placement and at
-every robber move, including moves along a loop (staying put).
+rounds. ``play`` owns the round and hands it to both players: each move
+is ``move(G, c, r, round)``. Capture is checked after every move, so a
+robber stepping onto the cop counts. A robber "visit" is recorded at his
+placement and at every robber move, including moves along a loop
+(staying put).
 """
 
 from __future__ import annotations
@@ -112,16 +114,12 @@ def play(cfg: GameConfig) -> Transcript:
 
     t = 2
     while outcome is None and t <= horizon:
-        mover = "cop" if t % 2 == 0 else "robber"
+        mover, player, here = ("robber", cfg.robber, r) if t % 2 else ("cop", cfg.cop, c)
         try:
-            if mover == "cop":
-                m = cfg.cop.move(G, c, r, t)
-            else:
-                m = cfg.robber.move(G, c, r)
+            m = player.move(G, c, r, t)
         except StrategyError as err:
             outcome = Outcome("fault", t, f"{mover}: {err}")
             break
-        here = c if mover == "cop" else r
         if not _legal(G, here, m):
             outcome = Outcome("fault", t, f"{mover}: illegal move {here} -> {m!r}")
             break
@@ -357,20 +355,7 @@ def transcript_to_text(T: Transcript) -> str:
 
 
 def transcript_to_json(T: Transcript) -> str:
-    payload = {
-        "horizon": T.horizon,
-        "cop_kind": T.cop_kind,
-        "moves": [[t, p, v] for t, p, v in T.moves],
-        "outcome": {
-            "kind": T.outcome.kind,
-            "round": T.outcome.round,
-            "detail": T.outcome.detail,
-        },
-        "visit_counts": list(T.visit_counts),
-        "stages": [[t, s] for t, s in T.stages],
-        "chain_events": [[t, v, k] for t, v, k in T.chain_events],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps({**vars(T), "outcome": vars(T.outcome)}, indent=2, sort_keys=True) + "\n"
 
 
 def _ints(xs) -> bool:

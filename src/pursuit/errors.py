@@ -62,9 +62,8 @@ class EngineInvariantError(PursuitError):
 
 
 class ProtectiveContradictionError(PursuitError):
-    """A timing profile contradicts the protective-strategy requirements,
-    or the order recovered from one fails verification (horizon too small
-    or the strategy is not protective)."""
+    """A timing profile contradicts the protective-strategy requirements
+    (horizon too small or the strategy is not protective)."""
 
 
 def parse_file(path, parse):

@@ -1,12 +1,13 @@
 """Cop move rules and robber policies.
 
-Cop strategies expose ``start(G)`` and ``move(G, c, r, round)``, the whole
-protocol of both ``play`` and ``estimate_timing``; a cop's ``kind`` names
-its transcripts. Robber policies expose ``start(G, c)`` and
-``move(G, c, r)``. Strategy context (orders, projection families, solver
-tables) is immutable and shared, and so are the cops: ``ProtectiveCop``
-caches one table row, a pure function of its family and the round.
-Robber policies that track history are single-game objects.
+Both players move through ``move(G, c, r, round)``, given the round by
+``play`` (and, for cops, by ``estimate_timing``). Cops place with
+``start(G)``, robbers with ``start(G, c)`` after seeing the cop; a cop's
+``kind`` names its transcripts. Strategy context (orders, projection
+families, solver tables) is immutable and shared, and so are the
+players: ``ProtectiveCop`` caches one table row, a pure function of its
+family and the round. Only ``RayRunnerRobber`` and ``CycleEvaderRobber``
+keep a history (reset by ``start``), so each plays one game at a time.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ class ProtectiveCop:
             family = self.family
             row = family.table[family._row(round // 2 + 1)].tolist()
             self._last = (round, row)
-        m = row[r]
+        m = row[r] if 0 <= r < len(row) else -1
         return m if m >= 0 else protective_move(self.family, r, round)  # the exact error
 
 
@@ -191,7 +192,7 @@ class StationaryRobber:
     def start(self, G: Graph, c: int) -> int:
         return _farthest_vertex(G, c)
 
-    def move(self, G: Graph, c: int, r: int) -> int:
+    def move(self, G: Graph, c: int, r: int, round: int) -> int:
         return r
 
 
@@ -202,13 +203,15 @@ class DistanceGreedyRobber:
     def start(self, G: Graph, c: int) -> int:
         return _farthest_vertex(G, c)
 
-    def move(self, G: Graph, c: int, r: int) -> int:
+    def move(self, G: Graph, c: int, r: int, round: int) -> int:
         dm = G.distance_matrix()
         return max(G.closed_neighborhoods()[r], key=lambda v: (int(dm[v, c]), -v))
 
 
 class RayRunnerRobber:
-    """Walks a designated vertex path, staying put once it ends."""
+    """Walks a designated vertex path, staying put once it ends. Its
+    place on the path advances only on a step it can take, so it is kept
+    here: the round cannot give it back."""
 
     def __init__(self, path):
         if not path:
@@ -220,7 +223,7 @@ class RayRunnerRobber:
         self._i = 0
         return self.path[0]
 
-    def move(self, G: Graph, c: int, r: int) -> int:
+    def move(self, G: Graph, c: int, r: int, round: int) -> int:
         if self._i + 1 < len(self.path):
             nxt = self.path[self._i + 1]
             if G.adjacent(r, nxt):
@@ -233,7 +236,8 @@ class CycleEvaderRobber:
     """Lives on a 5-cycle inside a wheel block: keeps maximal cyclic
     distance to the cop's projection onto the cycle; when the cop stands
     at the hub, stays if already maximal and otherwise steps back to
-    where it came from."""
+    where it came from. The previous vertex and the cop's last
+    projection are history, which ``start`` resets."""
 
     def __init__(self, cycle, hub: int):
         if len(cycle) != 5:
@@ -267,7 +271,7 @@ class CycleEvaderRobber:
         d = abs(a - b) % 5
         return min(d, 5 - d)
 
-    def move(self, G: Graph, c: int, r: int) -> int:
+    def move(self, G: Graph, c: int, r: int, round: int) -> int:
         i = self._index.get(r)
         if i is None:
             raise StrategyUndefinedError("evader strayed off its cycle")
@@ -299,29 +303,27 @@ class TableRobber:
     def start(self, G: Graph, c: int) -> int:
         return self.table.robber_start(c)
 
-    def move(self, G: Graph, c: int, r: int) -> int:
+    def move(self, G: Graph, c: int, r: int, round: int) -> int:
         return self.table.robber_move(c, r)
 
 
 class ScriptedRobber:
-    """Replays a fixed move list (first entry is the start); stays put
-    once the script runs out."""
+    """Replays a fixed move list (first entry is the start, entry i the
+    move of round 2i + 1); stays put once the script runs out."""
 
     def __init__(self, script):
         if not script:
             raise ValueError("script must be nonempty")
         self.script = tuple(script)
-        self._i = 0
 
     def start(self, G: Graph, c: int) -> int:
-        self._i = 0
         return self.script[0]
 
-    def move(self, G: Graph, c: int, r: int) -> int:
-        if self._i + 1 >= len(self.script):
+    def move(self, G: Graph, c: int, r: int, round: int) -> int:
+        i = (round - 1) // 2
+        if i >= len(self.script):
             return r
-        self._i += 1
-        nxt = self.script[self._i]
+        nxt = self.script[i]
         if not G.adjacent(r, nxt):
             raise ScriptError(f"scripted move {r} -> {nxt} is illegal")
         return nxt

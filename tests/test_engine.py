@@ -115,7 +115,7 @@ class _Answer:
     def start(self, G, c):
         return self.start_vertex
 
-    def move(self, G, c, r):
+    def move(self, G, c, r, round):
         return self.vertex
 
 
@@ -146,6 +146,39 @@ def test_played_transcripts_survive_json_and_replay(robber, outcome):
 def test_starts_must_be_plain_int_vertices(start):
     with pytest.raises(ValueError, match="unknown vertex"):
         play(GameConfig(_C4, TableCop(_C4_TABLE), _Answer(1, start=start), max_rounds=12))
+
+
+class _RoundLog:
+    """The table robber on C4, recording the round of each move it is asked for."""
+
+    def __init__(self):
+        self.robber = TableRobber(_C4_TABLE)
+        self.rounds = []
+
+    def start(self, G, c):
+        return self.robber.start(G, c)
+
+    def move(self, G, c, r, round):
+        self.rounds.append(round)
+        return self.robber.move(G, c, r, round)
+
+
+@pytest.mark.parametrize("horizon", [12, 13])
+def test_robber_moves_get_the_round_from_play(horizon):
+    robber = _RoundLog()
+    T = play(GameConfig(_C4, TableCop(_C4_TABLE), robber, max_rounds=horizon))
+    assert T.outcome.kind == "horizon"
+    assert robber.rounds == list(range(3, horizon + 1, 2))
+
+
+def test_one_scripted_robber_plays_two_games_alike():
+    # the script is read at the round, so nothing carries over between games
+    robber = ScriptedRobber([2, 3, 2, 3, 2, 3])
+    first, second = (play(GameConfig(_C4, TableCop(_C4_TABLE), robber, max_rounds=12))
+                     for _ in range(2))
+    assert first == second
+    assert first.outcome.kind == "horizon"
+    assert [v for _, p, v in first.moves if p == "robber"] == [2, 3, 2, 3, 2, 3]
 
 
 def test_weak_oscillation_counted():

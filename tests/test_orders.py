@@ -317,15 +317,9 @@ def _assert_recovery_matches(G, rob_latest):
             order_from_protective(G, profile)
         assert str(err.value) == want
         return
-    try:
-        order = order_from_protective(G, profile)
-    except ProtectiveContradictionError as err:
-        # the dominators agree; the recovered order then fails verification
-        assert str(err).startswith("recovered order fails at rank ")
-        check = _ref_verify(G, sequence, want, False)
-        assert str(err) == f"recovered order fails at rank {check[1]}: {check[2]}"
-    else:
-        assert (order.sequence, order.dominator) == (sequence, want)
+    order = order_from_protective(G, profile)
+    assert (order.sequence, order.dominator) == (sequence, want)
+    assert verify_dominating_order(G, order)
 
 
 def _assert_domination_matches(G, rng, orders=3):

@@ -684,7 +684,7 @@ def test_protective_row_cache_matches_protective_move():
         rounds = list(range(-2, 2 * n + 4))
         rng.shuffle(rounds)
         for round in rounds * 2:
-            for r in rng.sample(range(n), n):
+            for r in rng.sample(range(-2, n + 2), n + 4):
                 want = _outcome(protective_move, family, r, round)
                 for _ in range(2):
                     assert _outcome(cop.move, G, 0, r, round) == want

@@ -87,14 +87,14 @@ def test_recursive_matches_chain_on_samples():
         robber = TableRobber(table)
         c = start
         r = robber.start(G, c)
-        for _ in range(200):
+        for t in range(2, 402, 2):
             m1 = chain_pursuit_move(fam, c, r)
             m2 = prefix_recursive_move(G, order, c, r)
             assert m1 == m2
             c = m1
             if c == r:
                 break
-            r = robber.move(G, c, r)
+            r = robber.move(G, c, r, t + 1)
             if r == c:
                 break
 
@@ -129,13 +129,13 @@ def test_stationary_robber():
     P5 = path_graph(5)
     pol = StationaryRobber()
     assert pol.start(P5, 0) == 4
-    assert pol.move(P5, 0, 4) == 4
+    assert pol.move(P5, 0, 4, 3) == 4
 
 
 def test_distance_greedy_on_p5():
     P5 = path_graph(5)
     pol = DistanceGreedyRobber()
-    assert pol.move(P5, 0, 2) == 3
+    assert pol.move(P5, 0, 2, 3) == 3
 
 
 def test_evader_stays_under_the_hub():
@@ -144,7 +144,7 @@ def test_evader_stays_under_the_hub():
     cycle = [G.vertex_by_label(f"a_{i}") for i in range(5)]
     pol = CycleEvaderRobber(cycle, hub)
     pol.start(G, hub)
-    assert pol.move(G, hub, cycle[0]) == cycle[0]
+    assert pol.move(G, hub, cycle[0], 3) == cycle[0]
 
 
 def test_evader_keeps_maximal_cycle_distance():
@@ -154,25 +154,33 @@ def test_evader_keeps_maximal_cycle_distance():
     pol = CycleEvaderRobber(cycle, hub)
     pol.start(G, cycle[0])
     # cop on a_0, robber on a_1: step to a_2 (distance 2 beats 1)
-    assert pol.move(G, cycle[0], cycle[1]) == cycle[2]
+    assert pol.move(G, cycle[0], cycle[1], 3) == cycle[2]
 
 
 def test_scripted_robber_checks_legality():
     P3 = path_graph(3)
     pol = ScriptedRobber([2, 1, 0])
     assert pol.start(P3, 0) == 2
-    assert pol.move(P3, 0, 2) == 1
+    assert pol.move(P3, 0, 2, 3) == 1
     bad = ScriptedRobber([2, 0])
     bad.start(P3, 0)
     with pytest.raises(ScriptError):
-        bad.move(P3, 0, 2)
+        bad.move(P3, 0, 2, 3)
+
+
+def test_scripted_robber_reads_the_entry_of_its_round():
+    # round 7 is the robber's third move, so it plays entry 3, on every call
+    P3 = path_graph(3)
+    pol = ScriptedRobber([2, 1, 0, 1])
+    assert pol.move(P3, 2, 0, 7) == 1
+    assert pol.move(P3, 2, 0, 7) == 1
 
 
 def test_scripted_robber_stays_when_exhausted():
     P3 = path_graph(3)
     pol = ScriptedRobber([2])
     pol.start(P3, 0)
-    assert pol.move(P3, 0, 2) == 2
+    assert pol.move(P3, 0, 2, 3) == 2
 
 
 def test_table_robber_safe_on_c4():

@@ -4,8 +4,9 @@
 
 Runs a fixed grid of commands in-process through ``pursuit.cli.main``,
 with the ``pursuit`` package imported from SRC and OUT as the working
-directory. Every output file lands in OUT, and ``OUT/log.json`` records
-each command's argv, exit code, stdout and stderr. Two trees, for
+directory. ``play`` reads a fixed robber script from a replaced
+``sys.stdin``. Every output file lands in OUT, and ``OUT/log.json`` records
+each command's argv, stdin, exit code, stdout and stderr. Two trees, for
 example a commit and its parent, behave alike on the grid when
 ``diff -r OUT_A OUT_B`` prints nothing.
 """
@@ -41,14 +42,17 @@ def main(src: str, out: str) -> None:
     Path(out).mkdir(parents=True, exist_ok=True)
     os.chdir(out)
     from pursuit.cli import main as cli
+    from pursuit.graphs import load_graph
 
     log = []
 
-    def run(*argv):
+    def run(*argv, stdin=""):
         stdout, stderr = io.StringIO(), io.StringIO()
+        sys.stdin = io.StringIO(stdin)
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli(list(argv))
-        log.append({"argv": argv, "exit": code, "stdout": stdout.getvalue(),
+        sys.stdin = sys.__stdin__
+        log.append({"argv": argv, "stdin": stdin, "exit": code, "stdout": stdout.getvalue(),
                     "stderr": stderr.getvalue()})
         return code
 
@@ -79,6 +83,20 @@ def main(src: str, out: str) -> None:
                 for horizon in ((), ("--horizon", "7")):
                     run("timing", "--graph", graph, *with_order, "--cop", cop, *horizon,
                         "--recover-order")
+        # the interactive robber: a non-number, an off-graph id, a start on the
+        # last vertex, a move off its neighbourhood, legal moves, then q or EOF
+        G = load_graph(graph)
+        start = n - 1
+        near = G.closed_neighborhoods()[start]
+        step = next((v for v in near if v != start), start)
+        far = next((v for v in range(n) if v not in near), n)
+        feed = "".join(f"{x}\n" for x in ("x", n, start, far, step, start, step))
+        for order in [None, *orders]:
+            with_order = ("--order", order) if order else ()
+            for cop in COPS:
+                for stdin in (feed + "q\n", feed):
+                    run("play", "--graph", graph, *with_order, "--cop", cop,
+                        "--horizon", "9", stdin=stdin)
         for order in [None, *orders]:
             with_order = ("--order", order) if order else ()
             for cop in COPS:
