@@ -24,8 +24,10 @@ from .engine import (
 
 __version__ = "0.1.0"
 
-# These three modules load numpy, so each is imported on first use of one
-# of its names, and code that uses none of them runs without numpy.
+# These three modules load numpy only inside the functions that run an
+# array kernel or a table check. Each is still imported on first use of
+# one of its names: importing them costs about 8 ms per process where no
+# bytecode cache is written, which code that uses none of them skips.
 _LAZY = {
     "retractions": ("RetractionFamily", "check_family_retraction", "check_retraction",
                     "check_shifted_edge_property"),

@@ -2,15 +2,19 @@
 verification, timing, and an interactive robber mode.
 
 Every subcommand is deterministic given its files, flags, and seeds;
-outputs carry no timestamps. ``retractions``, ``solver`` and
-``strategies`` load numpy, so only the subcommands that use them import
-them: generate, order and verify (without --retraction) start without it.
+outputs carry no timestamps. numpy loads only where an array kernel
+runs: ``solve``, and a game or timing walk with the ``optimal`` cop or
+the ``adversarial`` or ``greedy`` robber. Every other run, the
+protective timing walk and its order recovery included, starts without
+it; ``retractions``, ``solver`` and ``strategies`` are imported by the
+subcommands that use them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import deque
 from itertools import zip_longest
 
 from . import generators
@@ -45,7 +49,6 @@ def _build_cop(kind: str, graph: Graph, order):
     if kind not in ("optimal", "recursive", "s_star", "protective", "dismantable"):
         raise PursuitError(f"unknown cop kind {kind!r}")
     from .retractions import RetractionFamily
-    from .solver import decide_cop_win
     from .strategies import (
         ChainPursuitCop, DismantlingPursuitCop, PrefixRecursiveCop, ProtectiveCop, TableCop,
     )
@@ -53,6 +56,8 @@ def _build_cop(kind: str, graph: Graph, order):
     if order is not None:
         _check_permutation(graph, order.sequence)
     if kind == "optimal":
+        from .solver import decide_cop_win
+
         return TableCop(decide_cop_win(graph))
     if order is None:
         find = find_dismantling_order if kind == "dismantable" else find_dominating_order
@@ -75,7 +80,6 @@ def _build_cop(kind: str, graph: Graph, order):
 
 
 def _build_robber(kind: str, graph: Graph):
-    from .solver import decide_cop_win
     from .strategies import (
         CycleEvaderRobber, DistanceGreedyRobber, RayRunnerRobber, ScriptedRobber,
         StationaryRobber, TableRobber,
@@ -95,6 +99,8 @@ def _build_robber(kind: str, graph: Graph):
             raise PursuitError("--robber h_evader needs a labelled wheel-block graph")
         return CycleEvaderRobber(cycle, hub)
     if kind == "adversarial":
+        from .solver import decide_cop_win
+
         return TableRobber(decide_cop_win(graph))
     if kind.startswith("script:"):
         path = kind.split(":", 1)[1]
@@ -113,11 +119,14 @@ def _cmd_generate(args) -> int:
     limit = f"{MAX_FILE_ORDER}, the largest graph file order"
     if n is not None and n > MAX_FILE_ORDER:
         raise PursuitError(f"--n {n} is above {limit}")
-    # ray and tree balls are refused unbuilt; (d - 1)**17 > MAX_FILE_ORDER when d >= 3
+    # ray, tree and wheel_tree balls are refused unbuilt, the wheel_tree ball by
+    # counting its keys; (d - 1)**17 > MAX_FILE_ORDER when d >= 3
     if args.family == "ray" and R is not None:
         n = R + 1
     elif args.family == "tree" and None not in (d, R) and d >= 2:
         n = 1 + 2 * R if d == 2 else 1 + d * ((d - 1) ** min(R, 17) - 1) // (d - 2)
+    elif args.family == "wheel_tree" and R is not None:
+        n = _ball_order(generators.wheel_tree(), R, MAX_FILE_ORDER + 1)
     if n is None or n <= MAX_FILE_ORDER:
         built = generators.make(args.family, n=args.n, degree=d, radius=R, seed=args.seed)
         n = built.graph.order
@@ -135,6 +144,21 @@ def _cmd_generate(args) -> int:
     if args.dot:
         write_file(f"{args.out}.dot", built.graph.to_dot())
     return 0
+
+
+def _ball_order(L, radius: int, stop: int) -> int:
+    """The number of keys within ``radius`` of L's root, counted by BFS
+    until it reaches ``stop``."""
+    dist = {L.root: 0}
+    frontier = deque([L.root])
+    while frontier and len(dist) < stop:
+        key = frontier.popleft()
+        if dist[key] < radius:
+            for nb in L.neighbors(key):
+                if nb not in dist:
+                    dist[nb] = dist[key] + 1
+                    frontier.append(nb)
+    return len(dist)
 
 
 def _cmd_order(args) -> int:

@@ -5,14 +5,14 @@ cutoff rank by following its dominator chain downward; a dismantling
 family projects onto the suffix at-or-above a cutoff by following the
 chain upward. Both are retractions where defined. A family keeps all its
 projections in one table, built on first use, and the family check finds
-every cutoff's first fault in one pass over that table.
+every cutoff's first fault in one pass over that table. The table is
+Python rows, so projecting needs no numpy; only the two table checkers
+load it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-
-import numpy as np
 
 from .errors import CheckResult, InvalidOrderError, NontotalRetractionError
 from .graphs import Graph
@@ -34,14 +34,14 @@ class RetractionFamily:
         self.graph = graph
         self.order = order
         self.flavor = order.flavor
-        self._faults = None  # (graph, table, faults) of _first_faults
+        self._faults = None  # [graph, table, table array, faults] of _checked_table
 
     @cached_property
-    def table(self) -> np.ndarray:
-        """int32 ``R[k, v]`` = ``retract(k, v)`` for k = 0..n, or -1 where
-        that raises. Along v's chain the running min of ranks (max when
-        dismantling, done as the min of mirrored ranks) meets cutoff k at
-        chain index #{running extrema that miss k}."""
+    def table(self) -> list[list[int]]:
+        """n + 1 rows: ``table[k][v]`` = ``retract(k, v)`` for k = 0..n, or
+        -1 where that raises. Along v's chain the running min of ranks (max
+        when dismantling, done as the min of mirrored ranks) meets cutoff k
+        at chain index #{running extrema that miss k}."""
         n = self.graph.order
         flip = self.flavor == "dismantling"
         columns = [[-1] * (n + 1) for _ in range(n)]
@@ -59,13 +59,8 @@ class RetractionFamily:
                 if r < low:
                     col[r + 1 : low + 1] = [w] * (low - r)
                     low = r
-        table = np.array(columns, dtype=np.int32).T
-        return np.ascontiguousarray(table[::-1] if flip else table)
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        """Vertex-indexed ranks in the order."""
-        return np.array([self.order.rank_of(v) for v in range(self.graph.order)])
+        rows = [*map(list, zip(*columns))]
+        return rows[::-1] if flip else rows
 
     def _row(self, cutoff: int) -> int:
         """Table row for ``cutoff``; raises ValueError when out of range."""
@@ -80,7 +75,7 @@ class RetractionFamily:
 
     def retract(self, cutoff: int, v: int) -> int:
         k = self._row(cutoff)
-        w = self.table.item(k, v) if 0 <= v < self.graph.order else -1
+        w = self.table[k][v] if 0 <= v < self.graph.order else -1
         if w >= 0:
             return w
         for u in self.order.chain(v):  # re-raises a broken chain's error
@@ -145,7 +140,7 @@ def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> 
     if i < 3 * n:
         h = i - 2 * n
         return CheckResult(
-            False, where=h, detail=f"target vertex {h} moved to {family.table.item(k, h)}"
+            False, where=h, detail=f"target vertex {h} moved to {family.table[k][h]}"
         )
     u, v = G.edge_array()[i - 3 * n].tolist()
     return CheckResult(
@@ -153,19 +148,34 @@ def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> 
     )
 
 
+def _checked_table(G: Graph, family: RetractionFamily) -> list:
+    """``[G, table, array, faults]``: the family's table rows as one int32
+    array, built once per graph and table object and kept on the family,
+    and that table's ``_first_faults`` (None until the family check asks)."""
+    table = family.table
+    cached = family._faults
+    if cached is None or cached[0] is not G or cached[1] is not table:
+        import numpy as np
+
+        cached = family._faults = [G, table, np.array(table, dtype=np.int32), None]
+    return cached
+
+
 def _first_faults(G: Graph, family: RetractionFamily) -> list[int]:
     """Per table row k, the first True of the row's fault mask [image -1 |
     image off target | target vertex moved | edge -> non-edge], n, n, n and
     m entries long, or -1 when there is none. The target of row k is ranks
-    < k when constructing, >= k when dismantling. Cached on the family for
-    this graph and table object."""
-    table = family.table
-    cached = family._faults
-    if cached is not None and cached[0] is G and cached[1] is table:
-        return cached[2]
+    < k when constructing, >= k when dismantling."""
+    cached = _checked_table(G, family)
+    if cached[3] is not None:
+        return cached[3]
+    import numpy as np
+
+    table = cached[2]
     n = G.order
     ks = np.arange(n + 1)[:, None]
-    in_target = family.ranks < ks if family.flavor == "constructing" else family.ranks >= ks
+    ranks = np.array([family.order.rank_of(v) for v in range(n)])
+    in_target = ranks < ks if family.flavor == "constructing" else ranks >= ks
     edges = G.edge_array()
     mask = np.concatenate((
         table < 0,
@@ -174,9 +184,8 @@ def _first_faults(G: Graph, family: RetractionFamily) -> list[int]:
         ~G.adjacency_matrix()[table[:, edges[:, 0]], table[:, edges[:, 1]]],
     ), axis=1)
     first = mask.argmax(axis=1)
-    faults = np.where(mask[np.arange(n + 1), first], first, -1).tolist()
-    family._faults = (G, table, faults)
-    return faults
+    cached[3] = np.where(mask[np.arange(n + 1), first], first, -1).tolist()
+    return cached[3]
 
 
 def check_shifted_edge_property(G: Graph, family: RetractionFamily) -> CheckResult:
@@ -189,11 +198,14 @@ def check_shifted_edge_property(G: Graph, family: RetractionFamily) -> CheckResu
     first failure in (cutoff, edge) order is reported, and the tested
     range sits in ``where`` on success.
     """
+    import numpy as np
+
     cons = family.flavor == "constructing"
     lo, hi = (1, G.order) if cons else (0, family.max_total_cutoff())
     edges = G.edge_array()
     a, b = edges.reshape(-1), edges[:, ::-1].reshape(-1)  # (u, v) before (v, u)
-    pa, pb = family.table[lo + 1 : hi + 1][:, a], family.table[lo:hi][:, b]
+    table = _checked_table(G, family)[2]
+    pa, pb = table[lo + 1 : hi + 1][:, a], table[lo:hi][:, b]
     hits = np.flatnonzero((pa < 0) | (pb < 0) | ~G.adjacency_matrix()[pa, pb])
     if not hits.size:
         return CheckResult(True, where=tuple(range(lo, hi)))

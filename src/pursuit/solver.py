@@ -1,17 +1,21 @@
 """Independent game oracles: exact cop-win decision by backward induction,
 bounded adversarial search, timing estimation against a fixed strategy,
-and order recovery from protective timing profiles."""
+and order recovery from protective timing profiles.
+
+numpy and the kernels load inside the table and survival entry points
+only, so that a timing walk or an order recovery runs without them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _kernels
 from .errors import ProtectiveContradictionError
 from .graphs import Graph
 from .orders import Order, dominators_within
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _INF = float("inf")
 
@@ -39,6 +43,8 @@ class GameTable:
     def best_cop_start(self) -> int:
         """Deterministic start: fewest safe robber replies, then smallest
         worst-case capture distance, then lowest id."""
+        import numpy as np
+
         d = self.cop_dist
         # lexsort is stable, so ties go to the lowest id; the row max is the
         # worst finite distance (0 on the diagonal when none is finite).
@@ -71,6 +77,8 @@ def decide_cop_win(G: Graph) -> GameTable:
     """Exact verdict by retrograde analysis: game states are settled ply
     by ply in order of distance from capture. The table exposes an
     optimal cop strategy and an optimal robber policy."""
+    from . import _kernels
+
     if not G.is_connected():
         raise ValueError("graph must be connected")
     dc, dr = _kernels.game_distance_tables(G.adjacency_matrix())
@@ -124,6 +132,8 @@ class SurviveWitness:
 def _survive_search(
     G: Graph, horizon: int, allowed: np.ndarray, cop_allowed: np.ndarray, budget: int
 ):
+    from . import _kernels
+
     n = G.order
     # The robber is placed in round 1: every allowed cop start must leave
     # him an allowed start elsewhere. Below horizon 2 that is the game.
@@ -252,6 +262,8 @@ def adversarial_search(
     Survival against one fixed cop is read off its timing profile
     (:func:`estimate_timing`).
     """
+    import numpy as np
+
     allowed = np.ones(G.order, dtype=np.bool_)
     for v in forbidden:
         allowed[v] = False

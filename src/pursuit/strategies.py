@@ -5,12 +5,16 @@ Both players move through ``move(G, c, r, round)``, given the round by
 ``start(G)``, robbers with ``start(G, c)`` after seeing the cop; a cop's
 ``kind`` names its transcripts. Strategy context (orders, projection
 families, solver tables) is immutable and shared, and so are the
-players: ``ProtectiveCop`` caches one table row, a pure function of its
-family and the round. Only ``RayRunnerRobber`` and ``CycleEvaderRobber``
-keep a history (reset by ``start``), so each plays one game at a time.
+players: ``ProtectiveCop`` keeps the projection table row of the round
+it last moved in, a pure function of its family and the round, and reads
+the robber's entry from that list with no numpy. Only ``RayRunnerRobber``
+and ``CycleEvaderRobber`` keep a history (reset by ``start``), so each
+plays one game at a time.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from .errors import (
     ScriptError,
@@ -20,7 +24,9 @@ from .errors import (
 from .graphs import Graph
 from .orders import Order
 from .retractions import RetractionFamily
-from .solver import GameTable
+
+if TYPE_CHECKING:  # annotations only: the table players are handed a built table
+    from .solver import GameTable
 
 
 # -- cop move rules --------------------------------------------------------
@@ -137,14 +143,10 @@ class ProtectiveCop:
         return self.family.order.sequence[0]
 
     def move(self, G: Graph, c: int, r: int, round: int) -> int:
-        last, row = self._last  # (round, that round's table row as a list or None), replaced whole
+        last, row = self._last  # (round, that round's table row), replaced whole
         if round != last:  # play asks once per round; the timing walk asks once per state
-            m = protective_move(self.family, r, round)
-            self._last = (round, None)
-            return m
-        if row is None:  # the round's second call: list its row once
             family = self.family
-            row = family.table[family._row(round // 2 + 1)].tolist()
+            row = family.table[family._row(round // 2 + 1)] if round % 2 == 0 else []
             self._last = (round, row)
         m = row[r] if 0 <= r < len(row) else -1
         return m if m >= 0 else protective_move(self.family, r, round)  # the exact error

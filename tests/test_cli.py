@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -82,7 +83,46 @@ def test_generate_refuses_orders_no_graph_file_holds(tmp_path, capsys, monkeypat
     assert capsys.readouterr() == (
         "", "error: --family wheel_tree gives more vertices than 100, the largest graph file order\n"
     )
+    monkeypatch.setattr(cli, "MAX_FILE_ORDER", 9)
+    assert run("generate", "--family", "petersen", "--out", str(prefix)) == 1
+    assert capsys.readouterr() == (
+        "", "error: --family petersen gives more vertices than 9, the largest graph file order\n"
+    )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_counts_wheel_tree_balls_before_building(tmp_path, capsys, monkeypatch):
+    from pursuit import cli, generators
+    from pursuit.graphs import MAX_FILE_ORDER, ball
+
+    make = generators.make
+
+    def build(*args, **kwargs):
+        raise AssertionError("generate built a graph that no reader would take")
+
+    # a radius far past the limit is refused from a count that stops one
+    # key past it, in well under a second
+    monkeypatch.setattr(generators, "make", build)
+    start = time.process_time()
+    assert run("generate", "--family", "wheel_tree", "--radius", "30",
+               "--out", str(tmp_path / "huge")) == 1
+    assert time.process_time() - start < 5
+    assert capsys.readouterr() == ("", f"error: --family wheel_tree gives more vertices "
+                                       f"than {MAX_FILE_ORDER}, the largest graph file order\n")
+    # the count is the ball's order: a limit one below it refuses unbuilt,
+    # a limit at it builds
+    for radius in (0, 1, 3, 5):
+        order = ball(generators.wheel_tree(), radius).graph.order
+        monkeypatch.setattr(cli, "MAX_FILE_ORDER", order - 1)
+        monkeypatch.setattr(generators, "make", build)
+        assert run("generate", "--family", "wheel_tree", "--radius", str(radius),
+                   "--out", str(tmp_path / "w")) == 1
+        assert capsys.readouterr().err.startswith("error: --family wheel_tree gives more")
+        monkeypatch.setattr(cli, "MAX_FILE_ORDER", order)
+        monkeypatch.setattr(generators, "make", make)
+        assert run("generate", "--family", "wheel_tree", "--radius", str(radius),
+                   "--out", str(tmp_path / "w")) == 0
+        assert capsys.readouterr().out.startswith(f"{tmp_path / 'w'}.graph: {order} vertices")
 
 
 def test_solve_c4_robber_win(tmp_path, capsys):
@@ -790,6 +830,7 @@ def path_game(tmp_path_factory):
     assert run("simulate", "--graph", str(where / "p.graph"), "--order", str(where / "p.order"),
                "--cop", "s_star", "--robber", "greedy", "--json-out",
                str(where / "game.json")) == 0
+    (where / "fold.map").write_text("0 0\n1 1\n2 2\n3 3\n4 3\n5 3\n", encoding="utf-8")
     return where
 
 
@@ -798,12 +839,34 @@ def path_game(tmp_path_factory):
     (["order", "--graph", "p.graph", "--out", "q.order"], False),
     (["verify", "--graph", "p.graph", "--order", "p.order", "--transcript", "game.json",
       "--criterion", "weak"], False),
+    (["verify", "--graph", "p.graph", "--retraction", "fold.map"], False),
+    (["timing", "--graph", "p.graph", "--order", "p.order", "--cop", "protective",
+      "--recover-order"], False),
+    (["timing", "--graph", "p.graph", "--cop", "protective", "--recover-order"], False),
+    (["timing", "--graph", "p.graph", "--order", "p.order", "--cop", "s_star"], False),
+    (["timing", "--graph", "p.graph", "--order", "p.order", "--cop", "recursive"], False),
+    (["simulate", "--graph", "p.graph", "--order", "p.order", "--cop", "s_star",
+      "--robber", "stationary"], False),
     (["solve", "--graph", "p.graph"], True),
-], ids=["generate", "order", "verify", "solve"])
+    (["simulate", "--graph", "p.graph", "--cop", "optimal", "--robber", "stationary"], True),
+    (["simulate", "--graph", "p.graph", "--order", "p.order", "--cop", "s_star",
+      "--robber", "adversarial"], True),
+    (["simulate", "--graph", "p.graph", "--order", "p.order", "--cop", "s_star",
+      "--robber", "greedy"], True),
+], ids=["generate", "order", "verify", "verify_retraction", "timing_protective",
+        "timing_protective_peeled", "timing_s_star", "timing_recursive", "simulate_s_star",
+        "solve", "simulate_optimal", "simulate_adversarial", "simulate_greedy"])
 def test_only_kernel_subcommands_load_numpy(path_game, argv, loads_numpy):
     code = f"import sys, pursuit.cli; assert pursuit.cli.main({argv!r}) == 0; " \
            "print('numpy' in sys.modules)"
     assert _fresh_line(code, path_game) == str(loads_numpy)
+
+
+def test_strategy_modules_import_without_numpy(tmp_path):
+    # numpy loads inside the kernel and checker calls, not with the modules
+    code = ("import sys, pursuit.retractions, pursuit.strategies, pursuit.solver; "
+            "print('numpy' in sys.modules)")
+    assert _fresh_line(code, tmp_path) == "False"
 
 
 @pytest.mark.parametrize("extra", [

@@ -217,8 +217,8 @@ def test_hubbed_path_nontotal_errors_pinned():
         )
     assert check_shifted_edge_property(G, fam) == CheckResult(True, tuple(range(9)))
     # a -1 written into a total row reaches the checker's nontotal branch
-    table = fam.table.copy()
-    table[9, 0] = -1
+    table = [row[:] for row in fam.table]
+    table[9][0] = -1
     fam.table = table
     assert check_shifted_edge_property(G, fam) == CheckResult(
         False, (8, 0, 1), "projection onto ranks >= 9 is undefined at vertex 0"
@@ -464,6 +464,53 @@ def test_table_matches_chain_walk(n, seed, kind, rng):
     _assert_matches_reference(*_family_of_kind(n, seed, kind, rng))
 
 
+def _numpy_table(family):
+    """The projection table as first built: columns as one int32 array,
+    transposed, its rows reversed when dismantling."""
+    n = family.graph.order
+    flip = family.flavor == "dismantling"
+    columns = [[-1] * (n + 1) for _ in range(n)]
+    for v, col in enumerate(columns):
+        try:
+            chain = family.order.chain(v)
+        except InvalidOrderError:
+            continue
+        low = n
+        for w in chain:
+            r = family.order._rank.get(w)
+            if r is None:
+                break
+            r = n - 1 - r if flip else r
+            if r < low:
+                col[r + 1 : low + 1] = [w] * (low - r)
+                low = r
+    table = np.array(columns, dtype=np.int32).T
+    return np.ascontiguousarray(table[::-1] if flip else table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 14),
+    st.integers(0, 10_000),
+    st.sampled_from(ORDER_KINDS),
+    st.lists(st.sampled_from((-3, -1, 15, 99)), max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_table_rows_match_the_numpy_table(n, seed, kind, outside, rng):
+    # n + 1 rows of n Python ints, equal to the array the table once was,
+    # also where chains break or a dominator lies outside the graph
+    G, fam = _family_of_kind(n, seed, kind, rng)
+    dominator = dict(fam.order.dominator)
+    for w in outside:
+        dominator[rng.randrange(n)] = w
+    fam = RetractionFamily(G, Order(fam.order.sequence, dominator, fam.flavor))
+    table = fam.table
+    assert type(table) is list and len(table) == n + 1
+    assert all(type(row) is list and len(row) == n for row in table)
+    assert all(type(w) is int for row in table for w in row)
+    assert table == _numpy_table(fam).tolist()
+
+
 def test_table_matches_chain_walk_on_paper_families():
     built = hubbed_path(9)
     view = ball(ray(), 10)
@@ -501,10 +548,14 @@ def _first(mask):
     return int(hits[0]) if hits.size else None
 
 
+def _table_array(family):
+    return np.array(family.table, dtype=np.int32)
+
+
 def _rebuilt_family_check(G, family, cutoff):
     """check_family_retraction as first written: it rebuilt the edge and
     rank arrays on every call."""
-    image = family.table[family._row(cutoff)]
+    image = _table_array(family)[family._row(cutoff)]
     if (v := _first(image < 0)) is not None:
         try:
             family.retract(cutoff, v)
@@ -533,8 +584,9 @@ def _rebuilt_shift_check(G, family):
     edges = np.array(list(G.edges()), dtype=np.intp).reshape(-1, 2)
     a, b = edges.reshape(-1), edges[:, ::-1].reshape(-1)
     adj = G.adjacency_matrix()
+    table = _table_array(family)
     for k in cutoffs if len(a) else ():
-        pa, pb = family.table[family._row(k + 1)][a], family.table[family._row(k)][b]
+        pa, pb = table[family._row(k + 1)][a], table[family._row(k)][b]
         i = _first((pa < 0) | (pb < 0) | ~adj[pa, pb])
         if i is None:
             continue
@@ -567,9 +619,9 @@ def test_checkers_match_the_rebuilt_arrays_on_mutated_tables(n, seed, kind, rng)
             assert got == _outcome(_rebuilt_family_check, G, fam, k), k
         got = _outcome(check_shifted_edge_property, G, fam)
         assert got == _outcome(_rebuilt_shift_check, G, fam)
-        table = fam.table.copy()
+        table = [row[:] for row in fam.table]
         for _ in range(rng.randrange(1, 4)):
-            table[rng.randrange(n + 1), rng.randrange(n)] = rng.randrange(-1, n)
+            table[rng.randrange(n + 1)][rng.randrange(n)] = rng.randrange(-1, n)
         fam.table = table
 
 
@@ -619,8 +671,8 @@ def test_family_check_follows_the_table_and_graph_objects():
     fam = RetractionFamily(G, Order((0, 1, 2, 3), {1: 0, 2: 1, 3: 2}, "constructing"))
     assert all(check_family_retraction(G, fam, k) for k in range(1, 5))
     table = fam.table
-    fam.table = table.copy()
-    fam.table[2, 3] = 2  # 3 -> 2 at cutoff 2, outside the prefix {0, 1}
+    fam.table = [row[:] for row in table]
+    fam.table[2][3] = 2  # 3 -> 2 at cutoff 2, outside the prefix {0, 1}
     assert check_family_retraction(G, fam, 2) == CheckResult(
         False, 3, "image of 3 misses the target region"
     )

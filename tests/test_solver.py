@@ -665,7 +665,7 @@ def test_timing_walk_matches_the_reference_walk_on_constructible_graphs(kind):
 
 
 def test_protective_row_cache_matches_protective_move():
-    # the cop lists a round's table row on the round's second call; every
+    # the cop keeps the table row of the round it last moved in; every
     # call must still return or raise exactly what protective_move does
     P6 = path_graph(6)
     G12, shipped = random_constructible(12, 5)

@@ -62,6 +62,8 @@ def main(src: str, out: str) -> None:
     run("solve", "--graph", "sep.graph")
     run("solve", "--graph", "cr.graph")
     run("simulate", "--graph", "sep.graph", "--cop", "optimal", "--robber", "greedy")
+    # a ball no graph file holds, refused before it is built
+    run("generate", "--family", "wheel_tree", "--radius", "30", "--out", "wide")
     for family, *params in FAMILIES:
         run("generate", "--family", family, *params, "--out", family, "--dot")
         graph = f"{family}.graph"
