@@ -5,8 +5,8 @@ import importlib
 
 from .errors import (
     CheckResult, EngineInvariantError, GeneratorContractError, GraphFormatError,
-    InvalidOrderError, NontotalRetractionError, ProtectiveContradictionError, PursuitError,
-    ScriptError, StrategyError, StrategyInapplicableError, StrategyUndefinedError,
+    GraphTooLargeError, InvalidOrderError, NontotalRetractionError, ProtectiveContradictionError,
+    PursuitError, ScriptError, StrategyError, StrategyInapplicableError, StrategyUndefinedError,
     TranscriptFaultError,
 )
 from .graphs import (
@@ -17,18 +17,19 @@ from .orders import (
     Order, depth_table, find_dismantling_order, find_dominating_order, load_order,
     naturalize_order, save_order, verify_dismantling_order, verify_dominating_order,
 )
-from .engine import (
-    GameConfig, Outcome, Transcript, check_pursuit_invariants, check_shadow, default_horizon,
-    evaluate_classic, evaluate_cweak, evaluate_weak, play, replay,
-)
 
 __version__ = "0.1.0"
 
-# These three modules load numpy only inside the functions that run an
-# array kernel or a table check. Each is still imported on first use of
-# one of its names: importing them costs about 8 ms per process where no
-# bytecode cache is written, which code that uses none of them skips.
+# Each of these modules is imported on first use of one of its names, so
+# a process that uses none of them does not pay for its import: where no
+# bytecode cache is written, about 5 ms for engine (which the CLI's
+# generate, order, solve and timing runs skip) and 9 ms for the other
+# three. Those three load numpy only inside the functions that run an
+# array kernel or a table check; engine never loads it.
 _LAZY = {
+    "engine": ("GameConfig", "Outcome", "Transcript", "check_pursuit_invariants", "check_shadow",
+               "default_horizon", "evaluate_classic", "evaluate_cweak", "evaluate_weak", "play",
+               "replay"),
     "retractions": ("RetractionFamily", "check_family_retraction", "check_retraction",
                     "check_shifted_edge_property"),
     "strategies": ("ChainPursuitCop", "CycleEvaderRobber", "DismantlingPursuitCop",

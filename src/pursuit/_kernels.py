@@ -70,7 +70,7 @@ def game_distance_tables(adj: np.ndarray):
     adj = np.ascontiguousarray(adj, dtype=np.bool_)
     n = adj.shape[0]
     # float32 for BLAS: sums of 0/1 are exact in float32 below 2^24, and
-    # graph files cap the order at MAX_FILE_ORDER = 2^16.
+    # no Graph has more than MAX_FILE_ORDER = 2^16 vertices.
     A = adj.astype(np.float32)
     dc = np.full((n, n), -1, dtype=np.int32)
     dr = np.full((n, n), -1, dtype=np.int32)
@@ -134,7 +134,7 @@ def survive_layers(
     off = ~eye
     to = off & allowed  # robber moves (c, r') onto allowed r' != c
     # float32 for BLAS: sums of 0/1 are exact in float32 below 2^24, and
-    # graph files cap the order at MAX_FILE_ORDER = 2^16.
+    # no Graph has more than MAX_FILE_ORDER = 2^16 vertices.
     A = adj.astype(np.float32)
     A_cop = (adj & cop_allowed).astype(np.float32)
     layers = [np.ones((n, n), dtype=np.bool_)]  # layer horizon+1, then downwards

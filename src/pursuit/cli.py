@@ -6,33 +6,21 @@ outputs carry no timestamps. numpy loads only where an array kernel
 runs: ``solve``, and a game or timing walk with the ``optimal`` cop or
 the ``adversarial`` or ``greedy`` robber. Every other run, the
 protective timing walk and its order recovery included, starts without
-it; ``retractions``, ``solver`` and ``strategies`` are imported by the
-subcommands that use them.
+it; ``engine``, ``retractions``, ``solver`` and ``strategies`` are
+imported by the subcommands that use them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections import deque
 from itertools import zip_longest
 
-from . import generators
-from .engine import (
-    GameConfig,
-    chain_annotations,
-    check_pursuit_invariants,
-    evaluate_classic,
-    evaluate_cweak,
-    evaluate_weak,
-    load_transcript,
-    play,
-    replay,
-    save_transcript,
-    transcript_to_text,
+from . import generators, graphs
+from .errors import (
+    CheckResult, GraphFormatError, GraphTooLargeError, PursuitError, parse_file, write_file,
 )
-from .errors import CheckResult, GraphFormatError, PursuitError, parse_file, write_file
-from .graphs import MAX_FILE_ORDER, Graph, load_graph, save_graph
+from .graphs import Graph, load_graph, save_graph
 from .orders import (
     _check_permutation,
     depth_table,
@@ -115,23 +103,16 @@ def _build_robber(kind: str, graph: Graph):
 
 
 def _cmd_generate(args) -> int:
-    n, d, R = args.n, args.degree, args.radius
-    limit = f"{MAX_FILE_ORDER}, the largest graph file order"
-    if n is not None and n > MAX_FILE_ORDER:
-        raise PursuitError(f"--n {n} is above {limit}")
-    # ray, tree and wheel_tree balls are refused unbuilt, the wheel_tree ball by
-    # counting its keys; (d - 1)**17 > MAX_FILE_ORDER when d >= 3
-    if args.family == "ray" and R is not None:
-        n = R + 1
-    elif args.family == "tree" and None not in (d, R) and d >= 2:
-        n = 1 + 2 * R if d == 2 else 1 + d * ((d - 1) ** min(R, 17) - 1) // (d - 2)
-    elif args.family == "wheel_tree" and R is not None:
-        n = _ball_order(generators.wheel_tree(), R, MAX_FILE_ORDER + 1)
-    if n is None or n <= MAX_FILE_ORDER:
-        built = generators.make(args.family, n=args.n, degree=d, radius=R, seed=args.seed)
-        n = built.graph.order
-    if n > MAX_FILE_ORDER:
-        raise PursuitError(f"--family {args.family} gives more vertices than {limit}")
+    limit = graphs.MAX_FILE_ORDER
+    if args.n is not None and args.n > limit:
+        raise PursuitError(f"--n {args.n} is above {limit}, the largest graph file order")
+    # Graph, ball and the tree generator refuse a graph above the limit
+    # before they take its memory
+    try:
+        built = generators.make(args.family, n=args.n, degree=args.degree,
+                                radius=args.radius, seed=args.seed)
+    except GraphTooLargeError as err:
+        raise PursuitError(f"--family {args.family} gives {err}") from None
     save_graph(f"{args.out}.graph", built.graph)
     print(f"{args.out}.graph: {built.graph.order} vertices, {built.graph.edge_count()} edges")
     order = built.dominating or built.dismantling
@@ -144,21 +125,6 @@ def _cmd_generate(args) -> int:
     if args.dot:
         write_file(f"{args.out}.dot", built.graph.to_dot())
     return 0
-
-
-def _ball_order(L, radius: int, stop: int) -> int:
-    """The number of keys within ``radius`` of L's root, counted by BFS
-    until it reaches ``stop``."""
-    dist = {L.root: 0}
-    frontier = deque([L.root])
-    while frontier and len(dist) < stop:
-        key = frontier.popleft()
-        if dist[key] < radius:
-            for nb in L.neighbors(key):
-                if nb not in dist:
-                    dist[nb] = dist[key] + 1
-                    frontier.append(nb)
-    return len(dist)
 
 
 def _cmd_order(args) -> int:
@@ -199,6 +165,8 @@ def _load(args, cop_kind=None):
 
 
 def _cmd_simulate(args) -> int:
+    from .engine import GameConfig, play, save_transcript, transcript_to_text
+
     graph, _, cop = _load(args, args.cop)
     robber = _build_robber(args.robber, graph)
     cfg = GameConfig(graph, cop, robber, max_rounds=args.horizon)
@@ -241,6 +209,11 @@ def _cmd_verify(args) -> int:
                f"ok onto {len(fixed)} fixed vertices")
 
     if args.transcript:
+        from .engine import (
+            check_pursuit_invariants, evaluate_classic, evaluate_cweak, evaluate_weak,
+            load_transcript, replay,
+        )
+
         transcript = load_transcript(args.transcript)
         replay(graph, transcript.moves, transcript.outcome, transcript.visit_counts)
         # the stage/exponent invariants are chain-pursuit properties, and
@@ -268,6 +241,8 @@ def _annotation_mismatch(order, transcript):
     """A failed check at the first round where the transcript's chain
     annotations differ from the ones its moves give under ``order``; None
     when they agree."""
+    from .engine import chain_annotations
+
     stages, events = chain_annotations(order, transcript.moves)
     got = zip_longest(transcript.stages, transcript.chain_events)
     for have, want in zip_longest(got, zip(stages, events)):
@@ -378,6 +353,8 @@ class _InteractiveRobber:
 
 
 def _cmd_play(args, input_fn=input, output_fn=print) -> int:
+    from .engine import GameConfig, play
+
     graph, _, cop = _load(args, args.cop)
     robber = _InteractiveRobber(input_fn, output_fn)
     try:

@@ -19,6 +19,14 @@ class GeneratorContractError(PursuitError):
     ranks."""
 
 
+class GraphTooLargeError(PursuitError):
+    """A graph would have more vertices than ``MAX_FILE_ORDER``; raised
+    before the graph's memory is taken."""
+
+    def __init__(self, limit: int):
+        super().__init__(f"more vertices than {limit}, the largest graph file order")
+
+
 class InvalidOrderError(PursuitError):
     """An order object violates its structural invariants (non-permutation
     sequence, dominator cycle, or a chain that never reaches its terminal)."""

@@ -6,8 +6,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, LazyGraph
-from .orders import Order
+from . import graphs
+from .errors import GraphTooLargeError
+from .graphs import Graph, LazyGraph, ball
+from .orders import Order, find_dominating_order
 
 # -- plain finite families ---------------------------------------------------
 
@@ -225,6 +227,7 @@ class TreeBall:
 def leafless_tree_ball(degree: int, radius: int) -> TreeBall:
     if degree < 2 or radius < 1:
         raise ValueError("need degree >= 2 and radius >= 1")
+    limit = graphs.MAX_FILE_ORDER
     edges = []
     parent = {0: None}
     depth = {0: 0}
@@ -235,6 +238,8 @@ def leafless_tree_ball(degree: int, radius: int) -> TreeBall:
         for u in frontier:
             kids = degree if u == 0 else degree - 1
             for _ in range(kids):
+                if nxt >= limit:
+                    raise GraphTooLargeError(limit)
                 parent[nxt] = u
                 depth[nxt] = d + 1
                 edges.append((u, nxt))
@@ -305,8 +310,6 @@ def make(family: str, *, n: int | None = None, degree: int | None = None,
          radius: int | None = None, seed: int | None = None) -> Generated:
     """Build a named family instance; lazy families require ``radius``
     and are returned as that ball."""
-    from .graphs import ball
-    from .orders import find_dominating_order
 
     def need(value, name):
         if value is None:

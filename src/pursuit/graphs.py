@@ -15,11 +15,14 @@ from numbers import Integral
 from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import GeneratorContractError, GraphFormatError, parse_file, write_file
+from .errors import (
+    GeneratorContractError, GraphFormatError, GraphTooLargeError, parse_file, write_file,
+)
 
 # Hard cap on the size of a single neighbour set returned by a lazy oracle.
 NEIGHBOR_CAP = 100_000
-# Largest vertex count a graph file may declare; its n^2-bit mask store still fits in memory.
+# Largest vertex count of any Graph, built or read from a file; its n^2-bit
+# mask store still fits in memory. Code that checks it reads it when it runs.
 MAX_FILE_ORDER = 2**16
 # Turns the digits of bin() into the 0/1 selector bytes of compress().
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -40,6 +43,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels=None):
         if n <= 0:
             raise ValueError("graph needs at least one vertex")
+        if n > MAX_FILE_ORDER:
+            raise GraphTooLargeError(MAX_FILE_ORDER)
         bits = [1 << v for v in range(n)]
         masks = bits.copy()  # loops are implicit: bit v of N[v] is always set
         for u, v in edges:
@@ -415,7 +420,8 @@ def ball(L: LazyGraph, radius: int) -> BallView:
     """All keys within graph distance ``radius`` of the root, as a Graph.
 
     Vertex ids are assigned by ``canonical_order``, not by discovery
-    order, so order hints stay valid after truncation.
+    order, so order hints stay valid after truncation. A ball of more than
+    ``MAX_FILE_ORDER`` keys is refused once the search holds more keys than that.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -423,6 +429,8 @@ def ball(L: LazyGraph, radius: int) -> BallView:
     neigh = {}  # key -> its oracle neighbour set, asked once per key
     frontier = deque([L.root])
     while frontier:
+        if len(dist) > MAX_FILE_ORDER:
+            raise GraphTooLargeError(MAX_FILE_ORDER)
         key = frontier.popleft()
         if dist[key] == radius:
             continue

@@ -53,37 +53,43 @@ def test_order_writes_a_dismantling_order(tmp_path, capsys):
     assert capsys.readouterr().out == "order: ok\n"
 
 
-def test_generate_refuses_orders_no_graph_file_holds(tmp_path, capsys, monkeypatch):
-    from pursuit import cli, generators
-    from pursuit.graphs import MAX_FILE_ORDER
+def _refuse_builds(monkeypatch):
+    from pursuit.graphs import Graph
 
-    def build(*args, **kwargs):
+    def store(*args, **kwargs):
         raise AssertionError("generate built a graph that no reader would take")
 
-    monkeypatch.setattr(generators, "make", build)
+    monkeypatch.setattr(Graph, "_store", store)
+
+
+def test_generate_refuses_orders_no_graph_file_holds(tmp_path, capsys, monkeypatch):
+    from pursuit import graphs
+    from pursuit.graphs import MAX_FILE_ORDER
+
+    _refuse_builds(monkeypatch)
     prefix = tmp_path / "huge"
     for n in (MAX_FILE_ORDER + 1, 70000):
         assert run("generate", "--family", "path", "--n", str(n), "--out", str(prefix)) == 1
         assert capsys.readouterr() == (
             "", f"error: --n {n} is above {MAX_FILE_ORDER}, the largest graph file order\n"
         )
-    # ray and tree balls are refused from their orders, R + 1 and
-    # 1 + d((d-1)^R - 1)/(d - 2), before anything is built
-    for flags in (("ray", "--radius", str(MAX_FILE_ORDER)), ("ray", "--radius", "70000"),
-                  ("tree", "--degree", "10", "--radius", "8"),
-                  ("tree", "--degree", "2", "--radius", str(MAX_FILE_ORDER // 2)),
+    # the tree generator stops its loop one vertex past the limit, before a
+    # Graph is made, however far the radius reaches
+    for flags in (("tree", "--degree", "10", "--radius", "8"),
                   ("tree", "--degree", "3", "--radius", "1000000000000")):
         assert run("generate", "--family", *flags, "--out", str(prefix)) == 1
         assert capsys.readouterr() == ("", f"error: --family {flags[0]} gives more vertices "
                                            f"than {MAX_FILE_ORDER}, the largest graph file order\n")
-    # every other family is checked once built, before any file is written
-    monkeypatch.undo()
-    monkeypatch.setattr(cli, "MAX_FILE_ORDER", 100)
-    assert run("generate", "--family", "wheel_tree", "--radius", "5", "--out", str(prefix)) == 1
-    assert capsys.readouterr() == (
-        "", "error: --family wheel_tree gives more vertices than 100, the largest graph file order\n"
-    )
-    monkeypatch.setattr(cli, "MAX_FILE_ORDER", 9)
+    # the ray's R + 1 and the path-like tree's 1 + 2R vertices, one past a
+    # limit of 100, and searches that would reach far past it
+    monkeypatch.setattr(graphs, "MAX_FILE_ORDER", 100)
+    for flags in (("ray", "--radius", "100"), ("ray", "--radius", "70000"),
+                  ("tree", "--degree", "2", "--radius", "50"), ("wheel_tree", "--radius", "5")):
+        assert run("generate", "--family", *flags, "--out", str(prefix)) == 1
+        assert capsys.readouterr() == ("", f"error: --family {flags[0]} gives more vertices "
+                                           "than 100, the largest graph file order\n")
+    # every other family is refused by Graph, before its masks are built
+    monkeypatch.setattr(graphs, "MAX_FILE_ORDER", 9)
     assert run("generate", "--family", "petersen", "--out", str(prefix)) == 1
     assert capsys.readouterr() == (
         "", "error: --family petersen gives more vertices than 9, the largest graph file order\n"
@@ -91,35 +97,43 @@ def test_generate_refuses_orders_no_graph_file_holds(tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_generate_refuses_n_plus_hubs_unbuilt(tmp_path, capsys, monkeypatch):
+    # --n is within the limit, but the graph has n + 4 and n + 1 vertices
+    from pursuit.graphs import MAX_FILE_ORDER
+
+    _refuse_builds(monkeypatch)
+    for family, n in (("hubbed_path", MAX_FILE_ORDER - 2), ("star", MAX_FILE_ORDER)):
+        assert run("generate", "--family", family, "--n", str(n),
+                   "--out", str(tmp_path / family)) == 1
+        assert capsys.readouterr() == ("", f"error: --family {family} gives more vertices "
+                                           f"than {MAX_FILE_ORDER}, the largest graph file order\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_counts_wheel_tree_balls_before_building(tmp_path, capsys, monkeypatch):
-    from pursuit import cli, generators
-    from pursuit.graphs import MAX_FILE_ORDER, ball
+    from pursuit import generators, graphs
+    from pursuit.graphs import MAX_FILE_ORDER, Graph, ball
 
-    make = generators.make
-
-    def build(*args, **kwargs):
-        raise AssertionError("generate built a graph that no reader would take")
-
-    # a radius far past the limit is refused from a count that stops one
-    # key past it, in well under a second
-    monkeypatch.setattr(generators, "make", build)
+    orders = {radius: ball(generators.wheel_tree(), radius).graph.order for radius in (0, 1, 3, 5)}
+    store = Graph._store
+    # a radius far past the limit is refused by a search that stops one key
+    # past it, in well under a second
+    _refuse_builds(monkeypatch)
     start = time.process_time()
     assert run("generate", "--family", "wheel_tree", "--radius", "30",
                "--out", str(tmp_path / "huge")) == 1
     assert time.process_time() - start < 5
     assert capsys.readouterr() == ("", f"error: --family wheel_tree gives more vertices "
                                        f"than {MAX_FILE_ORDER}, the largest graph file order\n")
-    # the count is the ball's order: a limit one below it refuses unbuilt,
-    # a limit at it builds
-    for radius in (0, 1, 3, 5):
-        order = ball(generators.wheel_tree(), radius).graph.order
-        monkeypatch.setattr(cli, "MAX_FILE_ORDER", order - 1)
-        monkeypatch.setattr(generators, "make", build)
+    # a limit one below the ball's order refuses unbuilt, a limit at it builds
+    for radius, order in orders.items():
+        monkeypatch.setattr(graphs, "MAX_FILE_ORDER", order - 1)
+        _refuse_builds(monkeypatch)
         assert run("generate", "--family", "wheel_tree", "--radius", str(radius),
                    "--out", str(tmp_path / "w")) == 1
         assert capsys.readouterr().err.startswith("error: --family wheel_tree gives more")
-        monkeypatch.setattr(cli, "MAX_FILE_ORDER", order)
-        monkeypatch.setattr(generators, "make", make)
+        monkeypatch.setattr(graphs, "MAX_FILE_ORDER", order)
+        monkeypatch.setattr(Graph, "_store", store)
         assert run("generate", "--family", "wheel_tree", "--radius", str(radius),
                    "--out", str(tmp_path / "w")) == 0
         assert capsys.readouterr().out.startswith(f"{tmp_path / 'w'}.graph: {order} vertices")

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from pursuit import (
+    Graph,
+    GraphTooLargeError,
     ball,
     decide_cop_win,
     dominates,
@@ -9,6 +13,7 @@ from pursuit import (
     verify_dominating_order,
     verify_dismantling_order,
 )
+from pursuit import graphs
 from pursuit.generators import (
     FAMILIES,
     cycle_graph,
@@ -125,6 +130,51 @@ def test_leafless_tree_interior_undominated_but_order_valid():
         for v in built.interior:
             assert not any(dominates(G, u, v) for u in G.vertices() if u != v)
         assert verify_dominating_order(G, built.order)
+
+
+# constructions of a graph of the given order, each checked against a
+# patched graphs.MAX_FILE_ORDER
+CONSTRUCTIONS = {
+    "graph": (12, lambda: Graph(12, [(0, 11)])),
+    "ray_ball": (12, lambda: ball(ray(), 11).graph),
+    "wheel_tree_ball": (19, lambda: ball(wheel_tree(), 2).graph),
+    "tree_ball": (22, lambda: leafless_tree_ball(3, 3).graph),
+}
+
+
+def _never_built(*args, **kwargs):
+    raise AssertionError("a Graph was built past the limit")
+
+
+def _edges_never_read():
+    raise AssertionError("Graph read its edges past the limit")
+    yield
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_constructions_refuse_one_vertex_past_the_limit(monkeypatch, name):
+    order, build = CONSTRUCTIONS[name]
+    monkeypatch.setattr(graphs, "MAX_FILE_ORDER", order - 1)
+    with monkeypatch.context() as patched:
+        if name == "graph":  # refused before the edges are read into masks
+            refused = lambda: Graph(order, _edges_never_read())
+        else:  # refused by the function's own loop, before it makes a Graph
+            patched.setattr(Graph, "__init__", _never_built)
+            refused = build
+        with pytest.raises(GraphTooLargeError) as err:
+            refused()
+    assert str(err.value) == f"more vertices than {order - 1}, the largest graph file order"
+    monkeypatch.setattr(graphs, "MAX_FILE_ORDER", order)
+    assert build().order == order
+
+
+def test_ball_stops_asking_the_oracle_one_key_past_the_limit(monkeypatch):
+    asked = []
+    L = replace(ray(), neighbors=lambda k: asked.append(k) or ray().neighbors(k))
+    monkeypatch.setattr(graphs, "MAX_FILE_ORDER", 11)
+    with pytest.raises(GraphTooLargeError):
+        ball(L, 1000)
+    assert asked == list(range(11))  # keys 0..11 are known once key 10 is asked
 
 
 def test_petersen_robber_win():

@@ -24,6 +24,9 @@ FAMILIES = (
     ("tree", "--degree", "3", "--radius", "2"), ("ray", "--radius", "3"),
     ("wheel_tree", "--radius", "1"), ("random_constructible", "--n", "10", "--seed", "3"),
     ("random", "--n", "8", "--seed", "2"),
+    # graphs no graph file holds, refused before a file is written
+    ("ray", "--radius", "70000"), ("tree", "--degree", "10", "--radius", "8"),
+    ("wheel_tree", "--radius", "30"), ("hubbed_path", "--n", "65534"),
 )
 COPS = ("optimal", "recursive", "s_star", "protective", "dismantable")
 ROBBERS = ("stationary", "greedy", "ray", "h_evader", "adversarial", "script:walk.script")
@@ -62,10 +65,9 @@ def main(src: str, out: str) -> None:
     run("solve", "--graph", "sep.graph")
     run("solve", "--graph", "cr.graph")
     run("simulate", "--graph", "sep.graph", "--cop", "optimal", "--robber", "greedy")
-    # a ball no graph file holds, refused before it is built
-    run("generate", "--family", "wheel_tree", "--radius", "30", "--out", "wide")
     for family, *params in FAMILIES:
-        run("generate", "--family", family, *params, "--out", family, "--dot")
+        if run("generate", "--family", family, *params, "--out", family, "--dot"):
+            continue
         graph = f"{family}.graph"
         run("solve", "--graph", graph, "--table-out", f"{family}.table")
         run("order", "--graph", graph, "--flavor", "dominating", "--out", f"{family}.dom.order")
