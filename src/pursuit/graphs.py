@@ -224,16 +224,18 @@ class Graph:
         vertex once; other ``#`` lines are ignored. Lines end at ``"\n"``
         only, and each edge line is ORed into the closed masks as it is read."""
         n = None
-        masks = bits = None  # set by the header line
+        masks = bits = ids = None  # set by the header line
         named = {}  # vertex -> (line number, label)
         for lineno, raw in enumerate(text.split("\n"), start=1):
             parts = raw.split()
             # the common line first: an edge after the header
             if len(parts) == 2 and n is not None and parts[0][0] != "#":
-                try:
-                    u, v = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise GraphFormatError(f"line {lineno}: expected integers")
+                u, v = ids.get(parts[0]), ids.get(parts[1])
+                if u is None or v is None:  # not written as str(id) of an id below n
+                    try:
+                        u, v = int(parts[0]), int(parts[1])
+                    except ValueError:
+                        raise GraphFormatError(f"line {lineno}: expected integers")
                 if not 0 <= u < v < n:
                     raise GraphFormatError(
                         f"line {lineno}: edge ({u}, {v}) must satisfy 0 <= u < v < n"
@@ -266,6 +268,7 @@ class Graph:
                 )
             bits = [1 << v for v in range(n)]
             masks = bits.copy()
+            ids = {str(v): v for v in range(n)}  # one int() per distinct id, not per token
         if n is None:
             raise GraphFormatError("empty graph file")
         labels = None
@@ -325,11 +328,11 @@ def save_graph(path, graph: Graph) -> None:
 def dominates(G: Graph, u: int, v: int) -> bool:
     """True iff ``u != v``, ``u ~ v``, and every neighbour of ``v`` is
     adjacent to ``u`` (closed neighbourhood containment)."""
-    from .orders import dominators_within
+    from .orders import dominates_within
 
     if u == v or not G.adjacent(u, v):
         return False
-    return bool(dominators_within(G.closed_masks(), (1 << G.order) - 1, int(v)) >> int(u) & 1)
+    return dominates_within(G.closed_masks(), (1 << G.order) - 1, int(u), int(v))
 
 
 class Induced(NamedTuple):

@@ -91,27 +91,40 @@ def dominators_within(masks, region: int, v: int) -> int:
     return found
 
 
+def dominates_within(masks, region: int, u: int, v: int) -> bool:
+    """True iff u dominates v inside ``region``, for a u the caller knows is
+    in ``region``: u != v and N[v] & region lies inside N[u]."""
+    return u != v and not masks[v] & region & ~masks[u]
+
+
 def _greedy_peel(G: Graph):
     """Remove the lowest-id dominated vertex until stuck or one remains.
 
     Returns (removed, dominator_of, survivor) with dominator_of recording
     the lowest-id dominator alive at removal time, or None if peeling got
     stuck before reaching a single vertex.
+
+    An undominated vertex stays so until a neighbour goes (the search reads
+    only ``alive & N[v]``), so only those are tested again: n + m at most.
     """
     masks = G.closed_masks()
-    alive = (1 << G.order) - 1
+    alive = untested = (1 << G.order) - 1
     removed = []
     dominator_of = {}
     while alive & (alive - 1):  # two or more alive
-        for v in range(G.order):
-            found = alive >> v & 1 and dominators_within(masks, alive, v)
+        while untested:
+            low = untested & -untested
+            untested ^= low
+            v = low.bit_length() - 1
+            found = dominators_within(masks, alive, v)
             if found:
                 break
         else:
             return None
         removed.append(v)
         dominator_of[v] = (found & -found).bit_length() - 1
-        alive ^= 1 << v
+        alive ^= low
+        untested |= masks[v] & alive
     return removed, dominator_of, alive.bit_length() - 1
 
 
@@ -164,7 +177,7 @@ def _verify(G: Graph, order: Order, suffix: bool) -> CheckResult:
             why = f"vertex {v} has no dominator"
         elif d not in range(n) or not region >> int(d) & 1:
             why = f"dominator {d} of {v} outside its {'suffix' if suffix else 'prefix'}"
-        elif not dominators_within(G.closed_masks(), region, v) >> int(d) & 1:
+        elif not dominates_within(G.closed_masks(), region, int(d), v):
             why = f"{d} does not dominate {v}"
         else:
             continue

@@ -315,6 +315,10 @@ _PARSER_TEXTS = [
     double_wheel()[0].to_text(),  # labelled
     "3\n# label 0 a\n#label 1 b c\n# label 2 d\n0 1\n0 1\n1 2\n",  # repeated edge
     "5\n",  # header only
+    # ids not written as str(id): leading zeros, signs, other digits,
+    # underscores, tabs and padding
+    "12\n00 01\n+1 2\n\u0662 3\n1_0 11\n3\t4\n  4   5  \n",
+    "7\n-0 006\n+5\t+6\n\u0664 \uff15\n",
 ]
 # The file noise of the parser fuzz tests, and line breaks other than \n.
 _PARSER_NOISE = st.sampled_from(
@@ -361,6 +365,18 @@ def _parsed(parse, text):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(max_size=80), _graph_file_texts()))
 def test_parser_matches_the_edge_list_parser(text):
+    assert _parsed(Graph.from_text, text) == _parsed(_ref_from_text, text)
+
+
+@pytest.mark.parametrize("text", [
+    *_PARSER_TEXTS[-2:],
+    "3\n1 3\n",  # a canonical id, but not below n
+    "3\n0 \u0663\n",
+    "3\n01 3\n",
+    "3\n0x1 2\n",
+    "3\n0 1\n1 2 \n 2\t1\n",
+])
+def test_parser_reads_ids_not_written_canonically_like_int(text):
     assert _parsed(Graph.from_text, text) == _parsed(_ref_from_text, text)
 
 

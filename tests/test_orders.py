@@ -10,6 +10,7 @@ from pursuit import (
     GraphFormatError,
     InvalidOrderError,
     ProtectiveContradictionError,
+    ball,
     decide_cop_win,
     depth_table,
     dominates,
@@ -25,11 +26,14 @@ from pursuit.generators import (
     cycle_graph,
     double_wheel,
     hubbed_path,
+    leafless_tree_ball,
     path_graph,
     random_connected_graph,
     random_constructible,
     star_graph,
+    wheel_tree,
 )
+from pursuit import orders
 from pursuit.orders import _greedy_peel, dominators_within, order_from_text, order_to_text
 from pursuit.solver import TimingProfile
 
@@ -403,6 +407,33 @@ def test_dense_seeds_are_dense():
     for n in (120, 200):
         G = random_connected_graph(n, _dense_seed(n, 0.99))
         assert G.edge_count() >= 0.98 * n * (n - 1) / 2
+
+
+@pytest.mark.parametrize("G", [
+    pytest.param(_relabelled(path_graph(200), random.Random(0)), id="path(200)"),
+    pytest.param(leafless_tree_ball(3, 5).graph, id="tree(3,5)"),
+    pytest.param(ball(wheel_tree(), 5).graph, id="wheel_tree(5)"),
+    # density 0.84: the peel removes two vertices, then gets stuck
+    pytest.param(random_connected_graph(60, 39), id="dense(60)"),
+])
+def test_greedy_peel_retests_only_the_removed_vertex_neighbours(G, monkeypatch):
+    # each vertex is tested once, then at most once more per removed
+    # neighbour: n + m tests, where a rescan from vertex 0 after every
+    # removal makes O(n^2)
+    calls = []
+
+    def counting(masks, region, v):
+        calls.append(v)
+        return dominators_within(masks, region, v)
+
+    monkeypatch.setattr(orders, "dominators_within", counting)
+    peeled = _greedy_peel(G)
+    monkeypatch.undo()
+    assert len(calls) <= G.order + G.edge_count()
+    assert peeled == _ref_peel(G)
+    order = find_dismantling_order(G)
+    assert (order is None) == (peeled is None)
+    assert order is None or verify_dismantling_order(G, order)
 
 
 @pytest.mark.parametrize("d", [-1, -5, 4, 99, "x"])

@@ -38,6 +38,8 @@ BAD_FILES = {
     "sep.order": "# a comment \x85 x\norder 0 1 2 3 4 5\ndelta 1:0 2:1 3:2 4:3 5:4\n",
     "empty.script": "",
 }
+# a valid cop-win graph whose ids are written with tabs, leading zeros and "+"
+ODD_IDS = "6\n0\t01\n+1 2\n002\t3\n3 +04\n04 005\n0 +2\n"
 
 
 def main(src: str, out: str) -> None:
@@ -65,6 +67,11 @@ def main(src: str, out: str) -> None:
     run("solve", "--graph", "sep.graph")
     run("solve", "--graph", "cr.graph")
     run("simulate", "--graph", "sep.graph", "--cop", "optimal", "--robber", "greedy")
+    Path("ids.graph").write_text(ODD_IDS, encoding="utf-8")
+    run("solve", "--graph", "ids.graph")
+    for flavor in ("dominating", "dismantling"):
+        run("order", "--graph", "ids.graph", "--flavor", flavor, "--out", f"ids.{flavor}.order")
+        run("verify", "--graph", "ids.graph", "--order", f"ids.{flavor}.order")
     for family, *params in FAMILIES:
         if run("generate", "--family", family, *params, "--out", family, "--dot"):
             continue
