@@ -7,6 +7,7 @@ only, so that a timing walk or an order recovery runs without them."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -306,9 +307,12 @@ def estimate_timing(G: Graph, cop, horizon: int, *, budget: int | None = None) -
     fixed strategy ``cop``, branching over all robber behaviours.
 
     Walks the layers of uncaptured states, one per round up to
-    ``horizon``, calling ``cop.move`` on every state of a cop round, so
-    it walks any cop that ``play`` accepts. A layer that outgrows
-    ``budget`` stops the walk and marks the profile truncated."""
+    ``horizon``, as ``{cop vertex: robber vertices}``. A cop round calls
+    ``cop.move`` on every state in (c, r) order, so it walks any cop
+    that ``play`` accepts and raises the error of the failing round's
+    least failing state; a robber round unions each cop's robbers'
+    neighbourhoods once. A layer of more than ``budget`` states stops
+    the walk and marks the profile truncated."""
     if horizon < 0:
         raise ValueError(f"horizon must be at least 0, got {horizon}")
     n = G.order
@@ -316,30 +320,35 @@ def estimate_timing(G: Graph, cop, horizon: int, *, budget: int | None = None) -
     cop_earliest = [-1] * n
     c0 = cop.start(G)
     cop_earliest[c0] = 0
-    layer = {(c0, r0) for r0 in range(n) if r0 != c0}
+    layer = {c0: [r0 for r0 in range(n) if r0 != c0]} if n > 1 else {}
     nbhds = G.closed_neighborhoods()
     move = cop.move
     truncated = False
     t = 1
     while t <= horizon and layer:
-        if budget is not None and len(layer) > budget:
+        if budget is not None and sum(map(len, layer.values())) > budget:
             truncated = True
             break
         if t == horizon:
             break
-        nxt = set()
+        nxt = defaultdict(set)
         if t % 2 == 1:  # the cop replies in round t + 1
-            for c, r in layer:
-                m = move(G, c, r, t + 1)
-                if cop_earliest[m] < 0:
-                    cop_earliest[m] = t + 1
-                if m != r:
-                    rob_latest[r] = t
-                    nxt.add((m, r))
+            for c in sorted(layer):
+                for r in layer[c]:
+                    m = move(G, c, r, t + 1)
+                    if cop_earliest[m] < 0:
+                        cop_earliest[m] = t + 1
+                    if m != r:
+                        rob_latest[r] = t
+                        nxt[m].add(r)
         else:  # the robber, not captured, survives round t + 1 by staying
-            for c, r in layer:
-                rob_latest[r] = t
-                nxt.update((c, rp) for rp in nbhds[r] if rp != c)
+            for c, robbers in layer.items():
+                reach = set()
+                for r in robbers:
+                    rob_latest[r] = t
+                    reach.update(nbhds[r])
+                reach.discard(c)
+                nxt[c] = sorted(reach)
         layer = nxt
         t += 1
     return TimingProfile(tuple(rob_latest), tuple(cop_earliest), horizon, truncated)

@@ -551,7 +551,7 @@ def _ref_reach(G, cop, horizon, budget=None):
             break
         nxt = set()
         if t % 2 == 1:
-            for c, r in layer:
+            for c, r in sorted(layer):
                 m = cop.move(G, c, r, t + 1)
                 if cop_earliest[m] < 0:
                     cop_earliest[m] = t + 1
@@ -705,6 +705,32 @@ def test_timing_walk_raises_what_the_reference_walk_raises():
     cop = ChainPursuitCop(RetractionFamily(P5, find_dismantling_order(P5)))
     got = _assert_timing_matches_the_reference(P5, cop, 20)
     assert got[0] == StrategyInapplicableError.__name__
+
+
+def test_timing_walk_raises_the_error_of_its_least_failing_state():
+    # states (2, 1) and (2, 3) both fail in round 2, and (2, 1) comes first
+    P4 = path_graph(4)
+    cop = ProtectiveCop(RetractionFamily(P4, Order((2, 0, 1, 3), {}, "constructing")))
+    with pytest.raises(InvalidOrderError) as err:
+        estimate_timing(P4, cop, 2)
+    assert str(err.value) == "chain of 1 never drops below rank 2: broken order"
+
+
+def test_timing_walk_matches_the_reference_walk_at_benchmark_scale():
+    # the largest long_capture trees; a budget of n cuts the wheel_tree
+    # walks mid-walk and lets the tree walks finish
+    tree, wheel = leafless_tree_ball(3, 6).graph, ball(wheel_tree(), 5).graph
+    cases = [(wheel, TableCop(decide_cop_win(wheel)))]
+    for G in (tree, wheel):
+        order, _ = naturalize_order(G, find_dominating_order(G))
+        cases.append((G, ProtectiveCop(RetractionFamily(G, order))))
+    truncated = set()
+    for G, cop in cases:
+        for budget in (None, G.order):
+            kind, profile = _assert_timing_matches_the_reference(G, cop, 4 * G.order, budget)
+            assert kind == "ok" and max(profile.cop_earliest) > 0
+            truncated.add(profile.truncated)
+    assert truncated == {False, True}
 
 
 @settings(max_examples=40, deadline=None)

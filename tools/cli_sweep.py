@@ -40,6 +40,8 @@ BAD_FILES = {
 }
 # a valid cop-win graph whose ids are written with tabs, leading zeros and "+"
 ODD_IDS = "6\n0\t01\n+1 2\n002\t3\n3 +04\n04 005\n0 +2\n"
+# P4 with an order whose chains break: two states of one timing round fail
+P4 = ("4\n0 1\n1 2\n2 3\n", "order 2 0 1 3\ndelta\n")
 
 
 def main(src: str, out: str) -> None:
@@ -72,6 +74,9 @@ def main(src: str, out: str) -> None:
     for flavor in ("dominating", "dismantling"):
         run("order", "--graph", "ids.graph", "--flavor", flavor, "--out", f"ids.{flavor}.order")
         run("verify", "--graph", "ids.graph", "--order", f"ids.{flavor}.order")
+    Path("p4.graph").write_text(P4[0], encoding="utf-8")
+    Path("p4.broken.order").write_text(P4[1], encoding="utf-8")
+    run("timing", "--graph", "p4.graph", "--order", "p4.broken.order", "--cop", "protective")
     for family, *params in FAMILIES:
         if run("generate", "--family", family, *params, "--out", family, "--dot"):
             continue
