@@ -195,6 +195,32 @@ def verify_dismantling_order(G: Graph, order: Order) -> CheckResult:
     return _verify(G, order, suffix=True)
 
 
+def chain_lengths(order: Order) -> dict:
+    """The length of :meth:`Order.chain` for every vertex on a chain of the
+    order (dominators outside the sequence too), or ``None`` where that
+    call raises, with each vertex listed after its dominator.
+
+    One walk over the dominator forest: each vertex's trail is followed
+    only up to a settled vertex, whose length is the rest of it. A trail
+    that meets itself is a cycle, and a chain longer than the order is
+    broken from there down, exactly where :meth:`Order.chain` raises.
+    """
+    n = len(order.sequence)
+    dom = order.dominator
+    length, seen = {}, set()  # seen and not settled: on the current trail
+    for v in order.sequence:
+        trail, w = [], v
+        while w not in seen and w is not None:
+            seen.add(w)
+            trail.append(w)
+            w = dom.get(w)
+        below = length.get(w, None if w in seen else 0)
+        while trail:
+            below = None if below is None or below >= n else below + 1
+            length[trail.pop()] = below
+    return length
+
+
 def depth_table(order: Order, strict: bool = True) -> tuple:
     """Chain length from each vertex to the order's terminal vertex: its
     index in :meth:`Order.chain`, or ``None`` when the chain misses it.
@@ -202,28 +228,21 @@ def depth_table(order: Order, strict: bool = True) -> tuple:
     Vertex-indexed. With ``strict=False`` stuck chains yield ``None``
     instead of raising (truncated orders have such sinks).
 
-    O(n): each chain is walked only up to the first vertex already
-    settled, whose chain is the rest of it. A walk that could not make a
-    chain asks :meth:`Order.chain` for the exact error.
+    O(n), read off :func:`chain_lengths`. Where chains break,
+    :meth:`Order.chain` of the first such vertex of the sequence raises
+    the exact error.
     """
     terminal = order.terminal()
-    n = len(order.sequence)
-    known = {}  # vertex -> (index of the terminal on its chain or None, chain length)
+    length = chain_lengths(order)
     for v in order.sequence:
-        trail, w = [], v
-        while w is not None and w not in known and len(trail) <= n:
-            trail.append(w)
-            w = order.dominator.get(w)
-        d, length = known.get(w, (None, 0))
-        if len(trail) + length > n:  # a cycle, or a chain longer than the order
+        if length[v] is None:
             order.chain(v)  # raises
-        for u in reversed(trail):
-            d = 0 if u == terminal else (None if d is None else d + 1)
-            length += 1
-            known[u] = (d, length)
-    depth = {v: known[v][0] for v in order.sequence}
-    if strict and None in depth.values():
-        stuck = [v for v in order.sequence if depth[v] is None]
+    depth = {}
+    for v in length:  # each after its dominator
+        d = depth.get(order.dominator.get(v))
+        depth[v] = 0 if v == terminal else None if d is None else d + 1
+    stuck = [v for v in order.sequence if depth[v] is None]
+    if strict and stuck:
         raise InvalidOrderError(f"dominator chain stuck at vertices {stuck}")
     return tuple([depth[v] for v in range(len(order.sequence))])  # see Graph.__init__
 

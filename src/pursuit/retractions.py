@@ -6,17 +6,18 @@ family projects onto the suffix at-or-above a cutoff by following the
 chain upward. Both are retractions where defined. A family keeps all its
 projections in one table, built on first use, and the family check finds
 every cutoff's first fault in one pass over that table. The table is
-Python rows, so projecting needs no numpy; only the two table checkers
-load it.
+one flat ``array("i")``, so projecting needs no numpy; only the two
+table checkers load it, and they read the buffer in place.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 
 from .errors import CheckResult, InvalidOrderError, NontotalRetractionError
 from .graphs import Graph
-from .orders import Order, _check_permutation
+from .orders import Order, _check_permutation, chain_lengths
 
 
 class RetractionFamily:
@@ -34,33 +35,33 @@ class RetractionFamily:
         self.graph = graph
         self.order = order
         self.flavor = order.flavor
-        self._faults = None  # [graph, table, table array, faults] of _checked_table
+        self._faults = None  # [graph, table, table view, faults] of _checked_table
 
     @cached_property
-    def table(self) -> list[list[int]]:
-        """n + 1 rows: ``table[k][v]`` = ``retract(k, v)`` for k = 0..n, or
-        -1 where that raises. Along v's chain the running min of ranks (max
-        when dismantling, done as the min of mirrored ranks) meets cutoff k
-        at chain index #{running extrema that miss k}."""
+    def table(self) -> array:
+        """``(n + 1)·n`` ints, row-major: ``table[k*n + v]`` = ``retract(k,
+        v)`` for k = 0..n, or -1 where that raises. Built in one pass over
+        the dominator forest: v's column is v on the rows whose target
+        holds v (k > rank when constructing, k <= rank when dismantling)
+        and its dominator's column on the others; a broken chain or a
+        dominator outside the graph leaves -1."""
         n = self.graph.order
-        flip = self.flavor == "dismantling"
-        columns = [[-1] * (n + 1) for _ in range(n)]
-        for v, col in enumerate(columns):
-            try:
-                chain = self.order.chain(v)
-            except InvalidOrderError:
-                continue  # a broken chain fails only the queries at v
-            low = n
-            for w in chain:
-                r = self.order._rank.get(w)
-                if r is None:  # a dominator outside the graph: retract raises there
-                    break
-                r = n - 1 - r if flip else r
-                if r < low:
-                    col[r + 1 : low + 1] = [w] * (low - r)
-                    low = r
-        rows = [*map(list, zip(*columns))]
-        return rows[::-1] if flip else rows
+        rank, dom = self.order._rank, self.order.dominator
+        table = array("i", [-1]) * ((n + 1) * n)
+        for v, length in chain_lengths(self.order).items():  # each after its dominator
+            r = rank.get(v)
+            if length is None or r is None:
+                continue
+            d, s = dom.get(v), (r + 1) * n  # rows 0..r end at s
+            if self.flavor == "constructing":
+                table[v + s :: n] = array("i", [v]) * (n - r)
+                if d in rank:
+                    table[v:s:n] = table[d:s:n]
+            else:
+                table[v:s:n] = array("i", [v]) * (r + 1)
+                if d in rank:
+                    table[v + s :: n] = table[d + s :: n]
+        return table
 
     def _row(self, cutoff: int) -> int:
         """Table row for ``cutoff``; raises ValueError when out of range."""
@@ -75,7 +76,8 @@ class RetractionFamily:
 
     def retract(self, cutoff: int, v: int) -> int:
         k = self._row(cutoff)
-        w = self.table[k][v] if 0 <= v < self.graph.order else -1
+        n = self.graph.order
+        w = self.table[k * n + v] if 0 <= v < n else -1
         if w >= 0:
             return w
         for u in self.order.chain(v):  # re-raises a broken chain's error
@@ -140,7 +142,7 @@ def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> 
     if i < 3 * n:
         h = i - 2 * n
         return CheckResult(
-            False, where=h, detail=f"target vertex {h} moved to {family.table[k][h]}"
+            False, where=h, detail=f"target vertex {h} moved to {family.table[k * n + h]}"
         )
     u, v = G.edge_array()[i - 3 * n].tolist()
     return CheckResult(
@@ -149,15 +151,18 @@ def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> 
 
 
 def _checked_table(G: Graph, family: RetractionFamily) -> list:
-    """``[G, table, array, faults]``: the family's table rows as one int32
-    array, built once per graph and table object and kept on the family,
-    and that table's ``_first_faults`` (None until the family check asks)."""
+    """``[G, table, view, faults]``: an int32 ``(n + 1, n)`` view of the
+    family's table buffer, made once per graph and table object and kept
+    on the family, and that table's ``_first_faults`` (None until the
+    family check asks)."""
     table = family.table
     cached = family._faults
     if cached is None or cached[0] is not G or cached[1] is not table:
         import numpy as np
 
-        cached = family._faults = [G, table, np.array(table, dtype=np.int32), None]
+        n = family.graph.order
+        view = np.frombuffer(table, dtype=np.intc).reshape(n + 1, n)
+        cached = family._faults = [G, table, view, None]
     return cached
 
 

@@ -5,9 +5,10 @@ Both players move through ``move(G, c, r, round)``, given the round by
 ``start(G)``, robbers with ``start(G, c)`` after seeing the cop; a cop's
 ``kind`` names its transcripts. Strategy context (orders, projection
 families, solver tables) is immutable and shared, and so are the
-players: ``ProtectiveCop`` keeps the projection table row of the round
-it last moved in, a pure function of its family and the round, and reads
-the robber's entry from that list with no numpy. Only ``RayRunnerRobber``
+players: ``ProtectiveCop`` keeps the row of the round it last moved in,
+copied out of the family's flat projection table as a list, a pure
+function of its family and the round, and reads the robber's entry from
+that list with no numpy. Only ``RayRunnerRobber``
 and ``CycleEvaderRobber`` keep a history (reset by ``start``), so each
 plays one game at a time.
 """
@@ -145,8 +146,10 @@ class ProtectiveCop:
     def move(self, G: Graph, c: int, r: int, round: int) -> int:
         last, row = self._last  # (round, that round's table row), replaced whole
         if round != last:  # play asks once per round; the timing walk asks once per state
-            family = self.family
-            row = family.table[family._row(round // 2 + 1)] if round % 2 == 0 else []
+            family, row = self.family, []
+            if round % 2 == 0:
+                n, k = family.graph.order, family._row(round // 2 + 1)
+                row = family.table[k * n : (k + 1) * n].tolist()
             self._last = (round, row)
         m = row[r] if 0 <= r < len(row) else -1
         return m if m >= 0 else protective_move(self.family, r, round)  # the exact error

@@ -1,5 +1,6 @@
 import functools
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from pursuit.generators import (
     ray,
     wheel_tree,
 )
+from pursuit.retractions import _checked_table
 
 
 def p3_family():
@@ -217,8 +219,8 @@ def test_hubbed_path_nontotal_errors_pinned():
         )
     assert check_shifted_edge_property(G, fam) == CheckResult(True, tuple(range(9)))
     # a -1 written into a total row reaches the checker's nontotal branch
-    table = [row[:] for row in fam.table]
-    table[9][0] = -1
+    table = array("i", fam.table)
+    table[9 * G.order + 0] = -1
     fam.table = table
     assert check_shifted_edge_property(G, fam) == CheckResult(
         False, (8, 0, 1), "projection onto ranks >= 9 is undefined at vertex 0"
@@ -497,18 +499,17 @@ def _numpy_table(family):
     st.randoms(use_true_random=False),
 )
 def test_table_rows_match_the_numpy_table(n, seed, kind, outside, rng):
-    # n + 1 rows of n Python ints, equal to the array the table once was,
-    # also where chains break or a dominator lies outside the graph
+    # (n + 1)·n ints in one row-major buffer, equal to the array the table
+    # once was, also where chains break or a dominator lies outside the graph
     G, fam = _family_of_kind(n, seed, kind, rng)
     dominator = dict(fam.order.dominator)
     for w in outside:
         dominator[rng.randrange(n)] = w
     fam = RetractionFamily(G, Order(fam.order.sequence, dominator, fam.flavor))
     table = fam.table
-    assert type(table) is list and len(table) == n + 1
-    assert all(type(row) is list and len(row) == n for row in table)
-    assert all(type(w) is int for row in table for w in row)
-    assert table == _numpy_table(fam).tolist()
+    assert type(table) is array and table.typecode == "i" and len(table) == (n + 1) * n
+    assert all(type(w) is int for w in table)
+    assert table.tolist() == _numpy_table(fam).reshape(-1).tolist()
 
 
 def test_table_matches_chain_walk_on_paper_families():
@@ -549,7 +550,8 @@ def _first(mask):
 
 
 def _table_array(family):
-    return np.array(family.table, dtype=np.int32)
+    n = family.graph.order
+    return np.frombuffer(family.table, dtype=np.intc).reshape(n + 1, n)
 
 
 def _rebuilt_family_check(G, family, cutoff):
@@ -619,9 +621,9 @@ def test_checkers_match_the_rebuilt_arrays_on_mutated_tables(n, seed, kind, rng)
             assert got == _outcome(_rebuilt_family_check, G, fam, k), k
         got = _outcome(check_shifted_edge_property, G, fam)
         assert got == _outcome(_rebuilt_shift_check, G, fam)
-        table = [row[:] for row in fam.table]
+        table = array("i", fam.table)
         for _ in range(rng.randrange(1, 4)):
-            table[rng.randrange(n + 1)][rng.randrange(n)] = rng.randrange(-1, n)
+            table[rng.randrange(n + 1) * n + rng.randrange(n)] = rng.randrange(-1, n)
         fam.table = table
 
 
@@ -671,8 +673,8 @@ def test_family_check_follows_the_table_and_graph_objects():
     fam = RetractionFamily(G, Order((0, 1, 2, 3), {1: 0, 2: 1, 3: 2}, "constructing"))
     assert all(check_family_retraction(G, fam, k) for k in range(1, 5))
     table = fam.table
-    fam.table = [row[:] for row in table]
-    fam.table[2][3] = 2  # 3 -> 2 at cutoff 2, outside the prefix {0, 1}
+    fam.table = array("i", table)
+    fam.table[2 * 4 + 3] = 2  # 3 -> 2 at cutoff 2, outside the prefix {0, 1}
     assert check_family_retraction(G, fam, 2) == CheckResult(
         False, 3, "image of 3 misses the target region"
     )
@@ -702,3 +704,25 @@ def test_chain_pursuit_never_builds_the_table():
     assert T.captured and "table" not in vars(fam)
     assert fam.retract(1, 0) == order.sequence[0]
     assert "table" in vars(fam)
+
+
+def test_table_build_walks_no_chain(monkeypatch):
+    # the table is read off one walk of the dominator forest, each column
+    # from its dominator's, never off a vertex's own chain
+    calls = []
+    chain = Order.chain
+    monkeypatch.setattr(Order, "chain", lambda self, v: calls.append(v) or chain(self, v))
+    for G in (path_graph(200), leafless_tree_ball(3, 6).graph, ball(wheel_tree(), 5).graph):
+        order = find_dominating_order(G)
+        for o in (order, naturalize_order(G, order)[0], find_dismantling_order(G)):
+            RetractionFamily(G, o).table
+    assert calls == []
+
+
+def test_checkers_read_the_table_in_place():
+    G = path_graph(5)
+    for order in (find_dominating_order(G), find_dismantling_order(G)):
+        fam = RetractionFamily(G, order)
+        assert check_shifted_edge_property(G, fam)
+        view = _checked_table(G, fam)[2]
+        assert view.shape == (6, 5) and np.shares_memory(view, fam.table)

@@ -77,6 +77,12 @@ def main(src: str, out: str) -> None:
     Path("p4.graph").write_text(P4[0], encoding="utf-8")
     Path("p4.broken.order").write_text(P4[1], encoding="utf-8")
     run("timing", "--graph", "p4.graph", "--order", "p4.broken.order", "--cop", "protective")
+    # the same -1 table entries reach the game loop's fault text
+    for robber in ("stationary", "adversarial"):
+        run("simulate", "--graph", "p4.graph", "--order", "p4.broken.order", "--cop", "protective",
+            "--robber", robber, "--json-out", f"p4.broken.{robber}.json")
+    run("play", "--graph", "p4.graph", "--order", "p4.broken.order", "--cop", "protective",
+        stdin="3\n2\nq\n")
     for family, *params in FAMILIES:
         if run("generate", "--family", family, *params, "--out", family, "--dot"):
             continue
