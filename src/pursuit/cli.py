@@ -215,7 +215,8 @@ def _cmd_verify(args) -> int:
         )
 
         transcript = load_transcript(args.transcript)
-        replay(graph, transcript.moves, transcript.outcome, transcript.visit_counts)
+        replay(graph, transcript.moves, transcript.outcome, transcript.visit_counts,
+               transcript.horizon)
         # the stage/exponent invariants are chain-pursuit properties, and
         # only an order can tell the annotations from made-up ones
         inv = None

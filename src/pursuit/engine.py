@@ -203,13 +203,15 @@ def check_pursuit_invariants(T: Transcript) -> CheckResult:
     return CheckResult(True)
 
 
-def replay(G: Graph, moves, outcome: Outcome, visit_counts) -> None:
+def replay(G: Graph, moves, outcome: Outcome, visit_counts, horizon: int) -> None:
     """Replay a transcript's moves on G for legality: rounds 0, 1, 2, ...
     with the cop first and the players alternating, every vertex in the
     graph, every move inside the closed neighbourhood of the mover's last
     vertex, and nothing after a capture. The outcome (kind and round) and
-    the robber's visit counts must be the ones the moves give. Raises
-    GraphFormatError at the first mismatch."""
+    the robber's visit counts must be the ones the moves give, and the
+    game must end where :func:`play` ends it: a capture or fault at a
+    round <= ``horizon``, a ``horizon`` outcome with its last move at
+    round ``horizon``. Raises GraphFormatError at the first mismatch."""
     n = G.order
     at = {}
     visits = [0] * n
@@ -253,6 +255,9 @@ def replay(G: Graph, moves, outcome: Outcome, visit_counts) -> None:
         raise GraphFormatError(
             f"transcript visit counts {list(visit_counts)} differ from the moves' {visits}"
         )
+    end = len(moves) - 1 if outcome.round is None else outcome.round
+    if end > horizon or (outcome.kind == "horizon" and end != horizon):
+        raise GraphFormatError(f"transcript horizon {horizon}, but the game ends at round {end}")
 
 
 # -- winning-criterion evaluators -------------------------------------------

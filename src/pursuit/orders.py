@@ -260,13 +260,10 @@ def naturalize_order(G: Graph, order: Order):
         raise InvalidOrderError(f"input order invalid at rank {check.where}: {check.detail}")
     sequence = order.sequence
     level: dict[int, int] = {sequence[0]: 0}
-    rank = {v: i for i, v in enumerate(sequence)}
+    rank = order._rank
     nbhds = G.closed_neighborhoods()
-    for v in sequence[1:]:
-        earlier = [u for u in nbhds[v] if rank[u] < rank[v]]  # leaves out v itself
-        if not earlier:
-            raise InvalidOrderError(f"vertex {v} has no earlier neighbour")
-        level[v] = max(level[u] for u in earlier) + 1
+    for v in sequence[1:]:  # the verified order puts v's dominator, a neighbour, before v
+        level[v] = max(level[u] for u in nbhds[v] if rank[u] < rank[v]) + 1
     new_seq = tuple(sorted(sequence, key=lambda v: (level[v], rank[v])))
     return (
         Order(new_seq, dict(order.dominator), "constructing"),

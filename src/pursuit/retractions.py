@@ -4,10 +4,10 @@ A constructing family projects any vertex onto the order's prefix below a
 cutoff rank by following its dominator chain downward; a dismantling
 family projects onto the suffix at-or-above a cutoff by following the
 chain upward. Both are retractions where defined. A family keeps all its
-projections in one table, built on first use, and the family check finds
-every cutoff's first fault in one pass over that table. The table is
-one flat ``array("i")``, so projecting needs no numpy; only the two
-table checkers load it, and they read the buffer in place.
+projections in one flat ``array("i")`` table, built on first use, whose
+layout only this module reads: a cutoff's row comes out as a list, so
+projecting needs no numpy, and the two table checkers view the buffer in
+place, the family check finding every cutoff's first fault in one pass.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class RetractionFamily:
         self.graph = graph
         self.order = order
         self.flavor = order.flavor
-        self._faults = None  # [graph, table, table view, faults] of _checked_table
+        self._faults = None  # (graph, table, faults) of _first_faults
 
     @cached_property
     def table(self) -> array:
@@ -74,9 +74,13 @@ class RetractionFamily:
             raise ValueError(f"cutoff {cutoff} out of range")
         return cutoff
 
+    def row(self, cutoff: int) -> list[int]:
+        """``retract(cutoff, v)`` for every vertex v, or -1 where that raises."""
+        n, k = self.graph.order, self._row(cutoff)
+        return self.table[k * n : (k + 1) * n].tolist()
+
     def retract(self, cutoff: int, v: int) -> int:
-        k = self._row(cutoff)
-        n = self.graph.order
+        n, k = self.graph.order, self._row(cutoff)
         w = self.table[k * n + v] if 0 <= v < n else -1
         if w >= 0:
             return w
@@ -142,7 +146,7 @@ def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> 
     if i < 3 * n:
         h = i - 2 * n
         return CheckResult(
-            False, where=h, detail=f"target vertex {h} moved to {family.table[k * n + h]}"
+            False, where=h, detail=f"target vertex {h} moved to {family.retract(cutoff, h)}"
         )
     u, v = G.edge_array()[i - 3 * n].tolist()
     return CheckResult(
@@ -150,33 +154,25 @@ def check_family_retraction(G: Graph, family: RetractionFamily, cutoff: int) -> 
     )
 
 
-def _checked_table(G: Graph, family: RetractionFamily) -> list:
-    """``[G, table, view, faults]``: an int32 ``(n + 1, n)`` view of the
-    family's table buffer, made once per graph and table object and kept
-    on the family, and that table's ``_first_faults`` (None until the
-    family check asks)."""
-    table = family.table
-    cached = family._faults
-    if cached is None or cached[0] is not G or cached[1] is not table:
-        import numpy as np
+def _table_view(family: RetractionFamily):
+    """The family's table as an int32 ``(n + 1, n)`` numpy array, without a copy."""
+    import numpy as np
 
-        n = family.graph.order
-        view = np.frombuffer(table, dtype=np.intc).reshape(n + 1, n)
-        cached = family._faults = [G, table, view, None]
-    return cached
+    n = family.graph.order
+    return np.frombuffer(family.table, dtype=np.intc).reshape(n + 1, n)
 
 
 def _first_faults(G: Graph, family: RetractionFamily) -> list[int]:
     """Per table row k, the first True of the row's fault mask [image -1 |
     image off target | target vertex moved | edge -> non-edge], n, n, n and
     m entries long, or -1 when there is none. The target of row k is ranks
-    < k when constructing, >= k when dismantling."""
-    cached = _checked_table(G, family)
-    if cached[3] is not None:
-        return cached[3]
+    < k when constructing, >= k when dismantling; kept per graph and table."""
+    cached = family._faults
+    if cached is not None and cached[0] is G and cached[1] is family.table:
+        return cached[2]
     import numpy as np
 
-    table = cached[2]
+    table = _table_view(family)
     n = G.order
     ks = np.arange(n + 1)[:, None]
     ranks = np.array([family.order.rank_of(v) for v in range(n)])
@@ -189,8 +185,9 @@ def _first_faults(G: Graph, family: RetractionFamily) -> list[int]:
         ~G.adjacency_matrix()[table[:, edges[:, 0]], table[:, edges[:, 1]]],
     ), axis=1)
     first = mask.argmax(axis=1)
-    cached[3] = np.where(mask[np.arange(n + 1), first], first, -1).tolist()
-    return cached[3]
+    faults = np.where(mask[np.arange(n + 1), first], first, -1).tolist()
+    family._faults = (G, family.table, faults)
+    return faults
 
 
 def check_shifted_edge_property(G: Graph, family: RetractionFamily) -> CheckResult:
@@ -209,7 +206,7 @@ def check_shifted_edge_property(G: Graph, family: RetractionFamily) -> CheckResu
     lo, hi = (1, G.order) if cons else (0, family.max_total_cutoff())
     edges = G.edge_array()
     a, b = edges.reshape(-1), edges[:, ::-1].reshape(-1)  # (u, v) before (v, u)
-    table = _checked_table(G, family)[2]
+    table = _table_view(family)
     pa, pb = table[lo + 1 : hi + 1][:, a], table[lo:hi][:, b]
     hits = np.flatnonzero((pa < 0) | (pb < 0) | ~G.adjacency_matrix()[pa, pb])
     if not hits.size:

@@ -5,12 +5,10 @@ Both players move through ``move(G, c, r, round)``, given the round by
 ``start(G)``, robbers with ``start(G, c)`` after seeing the cop; a cop's
 ``kind`` names its transcripts. Strategy context (orders, projection
 families, solver tables) is immutable and shared, and so are the
-players: ``ProtectiveCop`` keeps the row of the round it last moved in,
-copied out of the family's flat projection table as a list, a pure
-function of its family and the round, and reads the robber's entry from
-that list with no numpy. Only ``RayRunnerRobber``
-and ``CycleEvaderRobber`` keep a history (reset by ``start``), so each
-plays one game at a time.
+players: ``ProtectiveCop`` keeps the family's row for the round it last
+moved in, a pure function of its family and the round. Only
+``RayRunnerRobber`` and ``CycleEvaderRobber`` keep a history (reset by
+``start``), so each plays one game at a time.
 """
 
 from __future__ import annotations
@@ -78,13 +76,18 @@ def prefix_recursive_move(G: Graph, order: Order, c: int, r: int) -> int:
     return move
 
 
+def _protective_cutoff(round: int) -> int:
+    """Round ``2k``'s cutoff ``k+1``; the protective rule moves on even rounds."""
+    if round % 2 != 0:
+        raise ValueError("protective moves happen on even rounds")
+    return round // 2 + 1
+
+
 def protective_move(family: RetractionFamily, r: int, round: int) -> int:
     """Time-dependent rule for even rounds ``2k``: project the robber
     onto the prefix below rank ``k+1``. Legal by the shifted-edge
     property of constructing families over natural orders."""
-    if round % 2 != 0:
-        raise ValueError("protective moves happen on even rounds")
-    return family.retract(round // 2 + 1, r)
+    return family.retract(_protective_cutoff(round), r)
 
 
 def dismantling_pursuit_move(family: RetractionFamily, c: int, r: int) -> int:
@@ -144,13 +147,9 @@ class ProtectiveCop:
         return self.family.order.sequence[0]
 
     def move(self, G: Graph, c: int, r: int, round: int) -> int:
-        last, row = self._last  # (round, that round's table row), replaced whole
-        if round != last:  # play asks once per round; the timing walk asks once per state
-            family, row = self.family, []
-            if round % 2 == 0:
-                n, k = family.graph.order, family._row(round // 2 + 1)
-                row = family.table[k * n : (k + 1) * n].tolist()
-            self._last = (round, row)
+        if round != self._last[0]:  # play asks once per round; the timing walk once per state
+            self._last = (round, self.family.row(_protective_cutoff(round)))  # replaced whole
+        row = self._last[1]
         m = row[r] if 0 <= r < len(row) else -1
         return m if m >= 0 else protective_move(self.family, r, round)  # the exact error
 

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -190,7 +191,7 @@ def test_simulate_and_verify_transcript(tmp_path):
     ) == 0
 
 
-def test_verify_cweak_fails_on_oscillation(tmp_path):
+def test_verify_cweak_fails_on_oscillation(tmp_path, capsys):
     prefix = str(tmp_path / "wheel")
     run("generate", "--family", "double_wheel", "--out", prefix)
     # hand-made transcript: robber oscillates a_1 <-> a_2 (ids 1, 2) while
@@ -204,7 +205,7 @@ def test_verify_cweak_fails_on_oscillation(tmp_path):
     counts = [0] * 11
     counts[1], counts[2] = 11, 10
     payload = {
-        "horizon": 43,
+        "horizon": 41,
         "moves": moves,
         "outcome": {"kind": "horizon", "round": None, "detail": ""},
         "visit_counts": counts,
@@ -213,10 +214,12 @@ def test_verify_cweak_fails_on_oscillation(tmp_path):
     }
     path = tmp_path / "osc.json"
     path.write_text(json.dumps(payload))
+    capsys.readouterr()
     assert run(
         "verify", "--graph", f"{prefix}.graph", "--transcript", str(path),
         "--criterion", "cweak",
     ) == 1
+    assert capsys.readouterr().out == "cweak: FAIL (revisit at round 41)\n"
 
 
 def test_verify_prints_failed_criteria(tmp_path, capsys):
@@ -702,6 +705,31 @@ def test_verify_replays_transcript_moves(tmp_path, capsys, payload, message):
         assert "ok" not in captured.out.replace("order: ok\n", "")
 
 
+@pytest.mark.parametrize("horizon, edited, criterion, message", [
+    ("200", 1, ["classic"], "horizon 1, but the game ends at round 8"),
+    ("2", 500, ["weak", "--bound", "1"], "horizon 500, but the game ends at round 2"),
+], ids=["capture_past_horizon", "horizon_never_reached"])
+def test_verify_refuses_a_doctored_horizon(tmp_path, capsys, horizon, edited, criterion, message):
+    # play ends every game on a move of round <= horizon, and a horizon
+    # outcome exactly at it; an edited horizon cannot pass for the played one
+    prefix = str(tmp_path / "p5")
+    run("generate", "--family", "path", "--n", "5", "--out", prefix)
+    files = ["--graph", f"{prefix}.graph", "--order", f"{prefix}.order"]
+    game = tmp_path / "game.json"
+    assert run("simulate", *files, "--cop", "s_star", "--robber", "greedy",
+               "--horizon", horizon, "--json-out", str(game)) == 0
+    verify = ("verify", *files, "--transcript", str(game), "--criterion", *criterion)
+    capsys.readouterr()
+    assert run(*verify) == 0
+    payload = json.loads(game.read_text())
+    game.write_text(json.dumps({**payload, "horizon": edited}))
+    capsys.readouterr()
+    assert run(*verify) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "order: ok\n"
+    assert captured.err == f"error: transcript {message}\n"
+
+
 @pytest.mark.parametrize("family, cop, robber", [
     ("path", "s_star", "greedy"),
     ("path", "dismantable", "ray"),
@@ -729,7 +757,7 @@ def test_simulated_transcripts_replay(tmp_path, family, cop, robber):
                "--robber", robber, "--horizon", "40", "--json-out", tj) == 0
     T = load_transcript(tj)
     assert (T.outcome.kind == "fault") == robber.startswith("script:")
-    replay(load_graph(f"{prefix}.graph"), T.moves, T.outcome, T.visit_counts)
+    replay(load_graph(f"{prefix}.graph"), T.moves, T.outcome, T.visit_counts, T.horizon)
 
 
 def _made_up_annotations(tmp_path, stages):
@@ -900,6 +928,20 @@ def test_verify_bound_needs_the_weak_criterion(path_game, capsys, extra):
 def test_play_leaves_when_its_input_closes(path_game):
     done = _fresh_python("-m", "pursuit.cli", "play", "--graph", "p.graph", cwd=path_game)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_play_reports_a_cop_fault(tmp_path, monkeypatch, capsys):
+    # P4 with order 2 0 1 3 and no dominators: the protective cop's row for
+    # round 2 sends it from 2 to 0, off its neighbourhood
+    (tmp_path / "p4.graph").write_text("4\n0 1\n1 2\n2 3\n")
+    (tmp_path / "p4.order").write_text("order 2 0 1 3\ndelta\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0\n"))
+    capsys.readouterr()
+    assert run("play", "--graph", str(tmp_path / "p4.graph"), "--order",
+               str(tmp_path / "p4.order"), "--cop", "protective") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "cop starts at 2 (2)\nrobber start> "
+    assert captured.err == "error: cop: illegal move 2 -> 0\n"
 
 
 def test_play_refuses_horizon_zero(path_game, capsys):

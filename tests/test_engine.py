@@ -139,7 +139,7 @@ def test_played_transcripts_survive_json_and_replay(robber, outcome):
     assert (T.outcome.kind, T.outcome.round, T.outcome.detail) == outcome
     again = transcript_from_json(transcript_to_json(T))
     assert again == T
-    replay(_C4, again.moves, again.outcome, again.visit_counts)
+    replay(_C4, again.moves, again.outcome, again.visit_counts, again.horizon)
 
 
 @pytest.mark.parametrize("start", [np.int64(2), True, 4])

@@ -206,7 +206,9 @@ def test_transcript_parser_parses_or_rejects(text):
         T = transcript_from_json(text)
         assert _typed_as_written(T), T
         for G in (_P5, _WHEEL):  # a parsed transcript replays or is refused
-            _parses_or_format_error(lambda G: replay(G, T.moves, T.outcome, T.visit_counts), G)
+            _parses_or_format_error(
+                lambda G: replay(G, T.moves, T.outcome, T.visit_counts, T.horizon), G
+            )
 
 
 @settings(max_examples=40, deadline=None)

@@ -37,7 +37,7 @@ from pursuit.generators import (
     ray,
     wheel_tree,
 )
-from pursuit.retractions import _checked_table
+from pursuit.retractions import _table_view
 
 
 def p3_family():
@@ -724,5 +724,5 @@ def test_checkers_read_the_table_in_place():
     for order in (find_dominating_order(G), find_dismantling_order(G)):
         fam = RetractionFamily(G, order)
         assert check_shifted_edge_property(G, fam)
-        view = _checked_table(G, fam)[2]
+        view = _table_view(fam)
         assert view.shape == (6, 5) and np.shares_memory(view, fam.table)

@@ -26,7 +26,7 @@ FAMILIES = (
     ("random", "--n", "8", "--seed", "2"),
     # graphs no graph file holds, refused before a file is written
     ("ray", "--radius", "70000"), ("tree", "--degree", "10", "--radius", "8"),
-    ("wheel_tree", "--radius", "30"), ("hubbed_path", "--n", "65534"),
+    ("wheel_tree", "--radius", "30"), ("hubbed_path", "--n", "65534"), ("path", "--n", "65537"),
 )
 COPS = ("optimal", "recursive", "s_star", "protective", "dismantable")
 ROBBERS = ("stationary", "greedy", "ray", "h_evader", "adversarial", "script:walk.script")
@@ -37,11 +37,17 @@ BAD_FILES = {
     "mixed.order": "order 0 1 2\ndelta 1:0 0:2\n",
     "sep.order": "# a comment \x85 x\norder 0 1 2 3 4 5\ndelta 1:0 2:1 3:2 4:3 5:4\n",
     "empty.script": "",
+    "off.script": "1 9\n",
 }
 # a valid cop-win graph whose ids are written with tabs, leading zeros and "+"
 ODD_IDS = "6\n0\t01\n+1 2\n002\t3\n3 +04\n04 005\n0 +2\n"
 # P4 with an order whose chains break: two states of one timing round fail
 P4 = ("4\n0 1\n1 2\n2 3\n", "order 2 0 1 3\ndelta\n")
+# per-vertex bound files for P4: one well formed, then each way a line is refused
+BOUNDS = {
+    "p4.bound": "# one per vertex\n0 1\n1 1\n\n2 2\n3 1\n", "short.bound": "0 1\n",
+    "word.bound": "0 x\n", "far.bound": "4 1\n", "twice.bound": "0 1\n0 2\n",
+}
 
 
 def main(src: str, out: str) -> None:
@@ -81,8 +87,27 @@ def main(src: str, out: str) -> None:
     for robber in ("stationary", "adversarial"):
         run("simulate", "--graph", "p4.graph", "--order", "p4.broken.order", "--cop", "protective",
             "--robber", robber, "--json-out", f"p4.broken.{robber}.json")
-    run("play", "--graph", "p4.graph", "--order", "p4.broken.order", "--cop", "protective",
-        stdin="3\n2\nq\n")
+    for stdin in ("3\n2\nq\n", "0\n"):  # a -1 entry; the cop's illegal move 2 -> 0
+        run("play", "--graph", "p4.graph", "--order", "p4.broken.order", "--cop", "protective",
+            stdin=stdin)
+    Path("p4.order").write_text("order 0 1 2 3\ndelta 1:0 2:1 3:2\n", encoding="utf-8")
+    p4 = ("--graph", "p4.graph", "--order", "p4.order")
+    run("play", *p4, "--cop", "s_star", "--horizon", "2", stdin="3\n")  # the horizon is reached
+    run("simulate", *p4, "--cop", "s_star", "--robber", "stationary", "--json-out", "p4.json")
+    for name, text in BOUNDS.items():
+        Path(name).write_text(text, encoding="utf-8")
+        run("verify", *p4, "--transcript", "p4.json", "--criterion", "weak", "--bound", name)
+    # chain annotations that the moves do not give
+    game = json.loads(Path("p4.json").read_text(encoding="utf-8"))
+    game["stages"] = game["stages"][1:]
+    Path("p4.edited.json").write_text(json.dumps(game), encoding="utf-8")
+    run("verify", *p4, "--transcript", "p4.edited.json")
+    # players and options refused before a game starts
+    for argv in (("simulate", "--cop", "nobody", "--robber", "greedy"),
+                 ("simulate", "--cop", "optimal", "--robber", "nobody"),
+                 ("simulate", "--cop", "optimal", "--robber", "script:off.script"),
+                 ("verify", "--criterion", "classic"), ("verify", "--bound", "1")):
+        run(*argv, "--graph", "p4.graph")
     for family, *params in FAMILIES:
         if run("generate", "--family", family, *params, "--out", family, "--dot"):
             continue
@@ -106,13 +131,14 @@ def main(src: str, out: str) -> None:
                     run("timing", "--graph", graph, *with_order, "--cop", cop, *horizon,
                         "--recover-order")
         # the interactive robber: a non-number, an off-graph id, a start on the
-        # last vertex, a move off its neighbourhood, legal moves, then q or EOF
+        # last vertex, a non-number, a move off its neighbourhood, legal moves,
+        # then q or EOF
         G = load_graph(graph)
         start = n - 1
         near = G.closed_neighborhoods()[start]
         step = next((v for v in near if v != start), start)
         far = next((v for v in range(n) if v not in near), n)
-        feed = "".join(f"{x}\n" for x in ("x", n, start, far, step, start, step))
+        feed = "".join(f"{x}\n" for x in ("x", n, start, "x", far, step, start, step))
         for order in [None, *orders]:
             with_order = ("--order", order) if order else ()
             for cop in COPS:
